@@ -4,6 +4,7 @@ them, plus the classical-bound audit that gives the package its verdicts.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -105,12 +106,7 @@ class AuditCheck:
     verdict: str
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "margin": self.margin,
-            "stderr": self.stderr,
-            "verdict": self.verdict,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import math
 import sys
@@ -30,10 +31,10 @@ from .analyzers import (
 )
 from .blackbody import sample_report
 from .config import ConfigError, DataError, ExperimentConfig, RunManifest
-from .detection import bhd_difference_current, sample_counts
-from .fields import FieldModel, LocalOscillator, generate_path, mix_with_local_oscillator, split_beam
+from .detection import semiclassical_record
+from .fields import FieldModel, LocalOscillator
 from .numerics import RngStream, TimeGrid
-from .quantum import SystemParams, build_system, expectation, steady_state, unravel_ensemble
+from .quantum import SystemParams, _default_phase, build_system, unravel_ensemble
 from .records import (
     load_count_record,
     load_photocurrent,
@@ -47,29 +48,9 @@ _COUNTS_FMT = "counts_{:05d}.txt"
 _CURRENT_FMT = "current_{:05d}.csv"
 
 
-def _system_params(cfg: ExperimentConfig) -> SystemParams:
-    return SystemParams(
-        g=cfg.g,
-        kappa=cfg.kappa,
-        gamma=cfg.gamma,
-        drive=cfg.drive,
-        fock_cutoff=cfg.fock_cutoff,
-    )
-
-
-def _field_model(cfg: ExperimentConfig) -> FieldModel:
-    return FieldModel(
-        kind=cfg.kind,
-        amplitude=cfg.amplitude,
-        phase=cfg.phase,
-        mean_intensity=cfg.mean_intensity,
-        tau_c=cfg.tau_c,
-        burst_rate=cfg.burst_rate,
-        burst_freq=cfg.burst_freq,
-        burst_decay=cfg.burst_decay,
-        burst_amp=cfg.burst_amp,
-        burst_sign=cfg.burst_sign,
-    )
+def _from_config(cls, cfg: ExperimentConfig):
+    """Build a parameter dataclass from the config fields of the same names."""
+    return cls(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(cls)})
 
 
 def _lo_phase(cfg: ExperimentConfig) -> float:
@@ -78,8 +59,7 @@ def _lo_phase(cfg: ExperimentConfig) -> float:
     if not cfg.lo_align:
         return cfg.lo_phase
     if cfg.source == "quantum":
-        system = build_system(_system_params(cfg))
-        return float(np.angle(expectation(system.a, steady_state(system))))
+        return _default_phase(build_system(_from_config(SystemParams, cfg)))
     return cfg.phase
 
 
@@ -92,7 +72,7 @@ def _traj_grid(cfg: ExperimentConfig) -> TimeGrid:
 
 def _quantum_worker(cfg_text: str, outdir: str, first: int, n: int, theta: float):
     cfg = ExperimentConfig.from_text(cfg_text)
-    system = build_system(_system_params(cfg))
+    system = build_system(_from_config(SystemParams, cfg))
     grid = _traj_grid(cfg)
     base = Path(outdir)
     for rec in unravel_ensemble(
@@ -112,25 +92,20 @@ def _quantum_worker(cfg_text: str, outdir: str, first: int, n: int, theta: float
 
 def _semiclassical_worker(cfg_text: str, outdir: str, first: int, n: int, theta: float):
     cfg = ExperimentConfig.from_text(cfg_text)
-    model = _field_model(cfg)
+    model = _from_config(FieldModel, cfg)
     lo = LocalOscillator(cfg.lo_amplitude, theta)
     grid = _traj_grid(cfg)
     base = Path(outdir)
     for i in range(first, first + n):
-        stream = RngStream(cfg.seed, i)
-        path = generate_path(model, grid, stream)
-        arm_count, arm_wave = split_beam(path)
-        counts = sample_counts(
-            arm_count.intensity(),
+        counts, current = semiclassical_record(
+            model,
+            lo,
             grid,
-            stream,
-            efficiency=cfg.efficiency,
-            dark_rate=cfg.dark_rate,
-            dead_time=cfg.dead_time,
-        )
-        port1, port2 = mix_with_local_oscillator(arm_wave, lo)
-        current = bhd_difference_current(
-            port1.intensity(), port2.intensity(), grid, cfg.bandwidth, stream
+            RngStream(cfg.seed, i),
+            cfg.bandwidth,
+            cfg.efficiency,
+            cfg.dark_rate,
+            cfg.dead_time,
         )
         save_count_record(base / _COUNTS_FMT.format(i), counts)
         save_photocurrent(base / _CURRENT_FMT.format(i), current)
@@ -144,17 +119,12 @@ def _run_records(cfg: ExperimentConfig, outdir: Path) -> None:
     if cfg.workers == 1:
         worker(cfg_text, str(outdir), 0, cfg.n_trajectories, theta)
         return
-    per = math.ceil(cfg.n_trajectories / cfg.workers)
-    jobs = []
-    first = 0
-    while first < cfg.n_trajectories:
-        n = min(per, cfg.n_trajectories - first)
-        jobs.append((first, n))
-        first += n
+    n_traj = cfg.n_trajectories
+    per = math.ceil(n_traj / cfg.workers)
     with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
         futures = [
-            pool.submit(worker, cfg_text, str(outdir), first, n, theta)
-            for first, n in jobs
+            pool.submit(worker, cfg_text, str(outdir), first, min(per, n_traj - first), theta)
+            for first in range(0, n_traj, per)
         ]
         for f in futures:
             f.result()
@@ -179,17 +149,17 @@ def _cmd_run(args) -> int:
     cfg = ExperimentConfig.load(args.config)
     cfg, applied = cfg.with_env_overrides()
     if args.outdir is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, outdir=args.outdir)
+        cfg = dataclasses.replace(cfg, outdir=args.outdir)
     for key, val in applied.items():
         print(f"environment override: {key} = {val}")
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.ini").write_text(cfg.to_text())
     _run_records(cfg, outdir)
-    manifest = RunManifest.for_directory(outdir, cfg)
-    manifest.save(outdir)
+    names = ["config.ini"]
+    for i in range(cfg.n_trajectories):
+        names += [_COUNTS_FMT.format(i), _CURRENT_FMT.format(i)]
+    RunManifest.for_directory(outdir, cfg, names).save(outdir)
     print(
         f"run complete: {cfg.n_trajectories} x {cfg.duration} time units "
         f"({cfg.source}) -> {outdir}"
@@ -197,7 +167,9 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _load_run(indir: Path):
+def _load_config(indir: Path) -> ExperimentConfig:
+    """The run's config, after checking it and every record file against
+    the manifest."""
     manifest = RunManifest.load(indir)
     manifest.validate_files(indir)
     cfg_path = indir / "config.ini"
@@ -206,19 +178,18 @@ def _load_run(indir: Path):
     cfg = ExperimentConfig.from_text(cfg_path.read_text())
     if cfg.config_hash() != manifest.config_hash:
         raise DataError("config.ini does not match the manifest hash")
+    return cfg
+
+
+def _load_run(indir: Path):
+    cfg = _load_config(indir)
     pairs = []
-    i = 0
-    while True:
+    for i in range(cfg.n_trajectories):
         cpath = indir / _COUNTS_FMT.format(i)
         ppath = indir / _CURRENT_FMT.format(i)
-        if not cpath.is_file():
-            break
-        if not ppath.is_file():
-            raise DataError(f"count record {i} has no matching current record")
+        if not (cpath.is_file() and ppath.is_file()):
+            raise DataError(f"record pair {i} missing from {indir}")
         pairs.append((load_count_record(cpath), load_photocurrent(ppath)))
-        i += 1
-    if not pairs:
-        raise DataError(f"no records found in {indir}")
     return cfg, pairs
 
 
@@ -263,18 +234,11 @@ def _cmd_analyze(args) -> int:
     cfg, pairs = _load_run(indir)
     counts = [c for c, _ in pairs]
     g2 = estimate_g2(counts, cfg.max_lag, cfg.bin_width)
+    h = spectrum = None
     if _current_mean_resolved(pairs):
         h = estimate_h(pairs, cfg.halfwidth, bin_width=cfg.bin_width)
-        if cfg.max_frequency > 0:
-            freqs = np.linspace(0.0, cfg.max_frequency, cfg.n_frequencies)
-        else:
-            freqs = np.linspace(
-                0.0, 0.5 * math.pi / cfg.bin_width, cfg.n_frequencies
-            )
-        spectrum = squeezing_spectrum(h, freqs)
-    else:
-        h = None
-        spectrum = None
+        top = cfg.max_frequency if cfg.max_frequency > 0 else 0.5 * math.pi / cfg.bin_width
+        spectrum = squeezing_spectrum(h, np.linspace(0.0, top, cfg.n_frequencies))
     report_audit = audit_classical_bounds(g2, h)
     try:
         g2_peak = dominant_oscillation_frequency(g2.values, cfg.bin_width)
@@ -305,6 +269,8 @@ def _cmd_analyze(args) -> int:
         dip_omega, dip_value = spectrum.minimum()
     else:
         dip_omega = dip_value = None
+        for name in ("h.csv", "squeezing.csv"):  # a previous run's
+            (indir / name).unlink(missing_ok=True)
     report = {
         "config_hash": cfg.config_hash(),
         "source": cfg.source,
@@ -338,6 +304,11 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _read_series(path: Path, normalization: str) -> CorrelationSeries:
+    _, _, cols = read_table(path)
+    return CorrelationSeries(cols[0], cols[1], cols[2], normalization)
+
+
 def _bin_average(lags: np.ndarray, values: np.ndarray, edges: np.ndarray):
     """Mean of (lags, values) inside each [edges[i], edges[i+1]) bin."""
     out = np.empty(edges.size - 1)
@@ -351,62 +322,47 @@ def _cmd_compare(args) -> int:
     from .quantum import g2_regression, h_regression
 
     indir = Path(args.indir)
-    cfg, _ = _load_run(indir)
+    cfg = _load_config(indir)
     if cfg.source != "quantum":
         raise ConfigError("compare needs a quantum run; semiclassical has no regression twin")
     for name in ("g2.csv", "h.csv"):
         if not (indir / name).is_file():
             raise DataError(f"{name} not found; run analyze first")
-    _, _, g2_cols = read_table(indir / "g2.csv")
-    _, _, h_cols = read_table(indir / "h.csv")
-    mc_g2 = CorrelationSeries(g2_cols[0], g2_cols[1], g2_cols[2], "g2")
-    mc_h = CorrelationSeries(h_cols[0], h_cols[1], h_cols[2], "h")
+    mc_g2 = _read_series(indir / "g2.csv", "g2")
+    mc_h = _read_series(indir / "h.csv", "h")
 
-    system = build_system(_system_params(cfg))
+    system = build_system(_from_config(SystemParams, cfg))
     n_tau = int(round(cfg.max_lag / cfg.dt)) + 1
     tau_grid = TimeGrid(t_start=0.0, dt=cfg.dt, n_samples=n_tau)
     theta = _lo_phase(cfg)
     reg_g2 = g2_regression(system, tau_grid)
     reg_h = h_regression(system, tau_grid, lo_phase=theta)
 
-    def z_stats(mc: CorrelationSeries, reg: CorrelationSeries, positive_only: bool):
-        lags = mc.lags
-        if positive_only:
-            keep = lags >= 0
-        else:
-            keep = np.ones(lags.size, dtype=bool)
+    def z_stats(mc: CorrelationSeries, reg: CorrelationSeries):
+        keep = mc.lags >= 0
+        lags, vals, errs = mc.lags[keep], mc.values[keep], mc.stderr[keep]
         width = cfg.bin_width
-        edges = np.concatenate([lags[keep] - 0.5 * width, [lags[keep][-1] + 0.5 * width]])
+        edges = np.concatenate([lags - 0.5 * width, [lags[-1] + 0.5 * width]])
         ref = _bin_average(reg.lags, reg.values, edges)
-        vals = mc.values[keep]
-        errs = mc.stderr[keep]
         ok = np.isfinite(ref) & (errs > 0)
-        if not ok.any():
-            return {
-                "n_bins": 0,
-                "max_abs_z": math.nan,
-                "mean_abs_z": math.nan,
-                "frac_within_3": math.nan,
-            }
-        z = (vals[ok] - ref[ok]) / errs[ok]
+        z = np.abs(vals[ok] - ref[ok]) / errs[ok]
         return {
             "n_bins": int(ok.sum()),
-            "max_abs_z": float(np.max(np.abs(z))),
-            "mean_abs_z": float(np.mean(np.abs(z))),
-            "frac_within_3": float(np.mean(np.abs(z) <= 3.0)),
+            "max_abs_z": float(z.max()) if z.size else math.nan,
+            "mean_abs_z": float(z.mean()) if z.size else math.nan,
+            "frac_within_3": float(np.mean(z <= 3.0)) if z.size else math.nan,
         }
 
-    mc_peak = None
     try:
         mc_peak = dominant_oscillation_frequency(mc_g2.values, cfg.bin_width)
     except ValueError:
-        pass
+        mc_peak = None
     reg_peak = dominant_oscillation_frequency(reg_g2.values[reg_g2.lags >= 0], cfg.dt)
 
     result = {
         "config_hash": cfg.config_hash(),
-        "g2": z_stats(mc_g2, reg_g2, positive_only=True),
-        "h": z_stats(mc_h, reg_h, positive_only=True),
+        "g2": z_stats(mc_g2, reg_g2),
+        "h": z_stats(mc_h, reg_h),
         "g2_peak_mc": mc_peak,
         "g2_peak_regression": reg_peak,
         "g2_zero_mc": mc_g2.value_at(0.0),
@@ -427,13 +383,10 @@ def _cmd_compare(args) -> int:
 
 def _cmd_audit(args) -> int:
     indir = Path(args.indir)
-    g2 = h = None
-    if (indir / "g2.csv").is_file():
-        _, _, cols = read_table(indir / "g2.csv")
-        g2 = CorrelationSeries(cols[0], cols[1], cols[2], "g2")
-    if (indir / "h.csv").is_file():
-        _, _, cols = read_table(indir / "h.csv")
-        h = CorrelationSeries(cols[0], cols[1], cols[2], "h")
+    g2, h = (
+        _read_series(indir / f"{kind}.csv", kind) if (indir / f"{kind}.csv").is_file() else None
+        for kind in ("g2", "h")
+    )
     if g2 is None and h is None:
         raise DataError(f"no g2.csv or h.csv in {indir}; run analyze first")
     report = audit_classical_bounds(g2, h)

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 import json
 import os
-from dataclasses import dataclass, fields as dc_fields, replace
+from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 
 from .fields import BURST_SIGNS, MODEL_KINDS
@@ -41,25 +40,21 @@ class DataError(ValueError):
     """Missing or inconsistent input data; maps to exit code 3."""
 
 
-# (section, key) -> (attribute, type). One flat dataclass, INI only groups.
-_SCHEMA: dict[tuple[str, str], tuple[str, type]] = {}
-
-
-def _schema_field(section: str, key: str, typ: type):
-    _SCHEMA[(section, key)] = (key, typ)
-    return key
+def _opens(section: str, default):
+    """Default of the first field of an INI section; the fields after it, in
+    declaration order, belong to the same section. One flat dataclass, the
+    INI only groups, and each key's type is the type of its default."""
+    return field(default=default, metadata={"section": section})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    # [system]
-    g: float = 0.75
+    g: float = _opens("system", 0.75)
     kappa: float = 1.0
     gamma: float = 1.0
     drive: float = 0.18
     fock_cutoff: int = 8
-    # [field]
-    kind: str = "thermal_ou"
+    kind: str = _opens("field", "thermal_ou")
     amplitude: float = 1.0
     phase: float = 0.0
     mean_intensity: float = 1.0
@@ -71,16 +66,14 @@ class ExperimentConfig:
     # click-triggered current reads as the wave amplitude (stays under h = 2)
     burst_amp: float = 1.5
     burst_sign: str = "positive"
-    # [detection]
-    lo_amplitude: float = 8.0
+    lo_amplitude: float = _opens("detection", 8.0)
     lo_phase: float = 0.0
     lo_align: bool = True
     bandwidth: float = 0.5
     efficiency: float = 1.0
     dark_rate: float = 0.0
     dead_time: float = 0.0
-    # [run]
-    source: str = "quantum"
+    source: str = _opens("run", "quantum")
     seed: int = 20260819
     duration: float = 400.0
     dt: float = 0.02
@@ -88,15 +81,13 @@ class ExperimentConfig:
     jump_fraction: float = 0.5
     burn_in: float = 25.0
     workers: int = 1
-    # [analysis]
-    max_lag: float = 12.0
+    max_lag: float = _opens("analysis", 12.0)
     bin_width: float = 0.25
     halfwidth: float = 12.0
     n_frequencies: int = 401
     max_frequency: float = 0.0
     si_rate_scale_mhz: float = 20.0
-    # [output]
-    outdir: str = "out"
+    outdir: str = _opens("output", "out")
     label: str = "run"
 
     def __post_init__(self) -> None:
@@ -116,24 +107,17 @@ class ExperimentConfig:
             raise ConfigError("run.seed must be >= 0")
 
     def to_text(self) -> str:
-        by_section: dict[str, list[tuple[str, str]]] = {}
-        vals = {f.name: getattr(self, f.name) for f in dc_fields(self)}
-        for (section, key), (attr, typ) in _SCHEMA.items():
-            v = vals[attr]
+        by_section: dict[str, list[str]] = {}
+        for (section, key), typ in _KEYS.items():
+            v = getattr(self, key)
             if typ is bool:
                 text = "true" if v else "false"
             elif typ is float:
                 text = repr(float(v))
             else:
                 text = str(v)
-            by_section.setdefault(section, []).append((key, text))
-        out = io.StringIO()
-        for section in _SECTION_ORDER:
-            out.write(f"[{section}]\n")
-            for key, text in by_section[section]:
-                out.write(f"{key} = {text}\n")
-            out.write("\n")
-        return out.getvalue()
+            by_section.setdefault(section, []).append(f"{key} = {text}\n")
+        return "".join(f"[{s}]\n" + "".join(rows) + "\n" for s, rows in by_section.items())
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
@@ -144,28 +128,19 @@ class ExperimentConfig:
             raise ConfigError(f"unparseable config: {exc}") from exc
         kwargs = {}
         for section in parser.sections():
-            if section not in _SECTION_ORDER:
+            if section not in _SECTIONS:
                 raise ConfigError(f"unknown section [{section}]")
             for key, raw in parser.items(section):
-                spec = _SCHEMA.get((section, key))
-                if spec is None:
+                typ = _KEYS.get((section, key))
+                if typ is None:
                     raise ConfigError(f"unknown key {section}.{key}")
-                attr, typ = spec
                 try:
                     if typ is bool:
-                        low = raw.strip().lower()
-                        if low in ("true", "1", "yes", "on"):
-                            kwargs[attr] = True
-                        elif low in ("false", "0", "no", "off"):
-                            kwargs[attr] = False
-                        else:
+                        kwargs[key] = parser.BOOLEAN_STATES.get(raw.strip().lower())
+                        if kwargs[key] is None:
                             raise ValueError(f"not a boolean: {raw!r}")
-                    elif typ is int:
-                        kwargs[attr] = int(raw)
-                    elif typ is float:
-                        kwargs[attr] = float(raw)
                     else:
-                        kwargs[attr] = raw.strip()
+                        kwargs[key] = raw.strip() if typ is str else typ(raw)
                 except ValueError as exc:
                     raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
         return cls(**kwargs)
@@ -202,49 +177,13 @@ class ExperimentConfig:
         return cfg, applied
 
 
-_SECTION_ORDER = ("system", "field", "detection", "run", "analysis", "output")
-
-for _sec, _key, _typ in [
-    ("system", "g", float),
-    ("system", "kappa", float),
-    ("system", "gamma", float),
-    ("system", "drive", float),
-    ("system", "fock_cutoff", int),
-    ("field", "kind", str),
-    ("field", "amplitude", float),
-    ("field", "phase", float),
-    ("field", "mean_intensity", float),
-    ("field", "tau_c", float),
-    ("field", "burst_rate", float),
-    ("field", "burst_freq", float),
-    ("field", "burst_decay", float),
-    ("field", "burst_amp", float),
-    ("field", "burst_sign", str),
-    ("detection", "lo_amplitude", float),
-    ("detection", "lo_phase", float),
-    ("detection", "lo_align", bool),
-    ("detection", "bandwidth", float),
-    ("detection", "efficiency", float),
-    ("detection", "dark_rate", float),
-    ("detection", "dead_time", float),
-    ("run", "source", str),
-    ("run", "seed", int),
-    ("run", "duration", float),
-    ("run", "dt", float),
-    ("run", "n_trajectories", int),
-    ("run", "jump_fraction", float),
-    ("run", "burn_in", float),
-    ("run", "workers", int),
-    ("analysis", "max_lag", float),
-    ("analysis", "bin_width", float),
-    ("analysis", "halfwidth", float),
-    ("analysis", "n_frequencies", int),
-    ("analysis", "max_frequency", float),
-    ("analysis", "si_rate_scale_mhz", float),
-    ("output", "outdir", str),
-    ("output", "label", str),
-]:
-    _schema_field(_sec, _key, _typ)
+# (section, key) -> type, in field order
+_KEYS: dict[tuple[str, str], type] = {}
+_section = None
+for _f in dc_fields(ExperimentConfig):
+    _section = _f.metadata.get("section", _section)
+    _KEYS[(_section, _f.name)] = type(_f.default)
+_SECTIONS = {section for section, _ in _KEYS}
 
 
 @dataclass(frozen=True)
@@ -284,14 +223,11 @@ class RunManifest:
             raise DataError(f"bad manifest: {exc}") from exc
 
     @classmethod
-    def for_directory(cls, outdir, config: ExperimentConfig) -> "RunManifest":
+    def for_directory(cls, outdir, config: ExperimentConfig, names) -> "RunManifest":
+        """Manifest of the named files in outdir, which must be exactly what
+        the run wrote: other files there (a previous run's) are not listed."""
         base = Path(outdir)
-        names = sorted(
-            p.name
-            for p in base.iterdir()
-            if p.is_file() and p.name not in ("manifest.json",)
-        )
-        files = tuple((n, (base / n).stat().st_size) for n in names)
+        files = tuple((n, (base / n).stat().st_size) for n in sorted(names))
         return cls(
             config_hash=config.config_hash(),
             seed=config.seed,

@@ -2,8 +2,9 @@
 
 The point process is an inhomogeneous Poisson realization drawn by thinning,
 the balanced-homodyne current is built from two real count records binned and
-low-passed, and the wave-particle correlator couples a counting arm to a
-homodyne arm of the same stochastic wave.
+low-passed, and the semiclassical record couples a counting arm to a homodyne
+arm of the same stochastic wave; the wave-particle correlator averages the
+current around the clicks of a chain of such records.
 """
 from __future__ import annotations
 
@@ -12,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldModel, FieldPath, LocalOscillator, generate_path, mix_with_local_oscillator, split_beam
-from .numerics import RngStream, TimeGrid
+from .analyzers import CorrelationSeries, estimate_h
+from .fields import FieldModel, LocalOscillator, generate_path, mix_with_local_oscillator, split_beam
+from .numerics import RngStream, TimeGrid, first_order_recurrence
 from .records import CountRecord, PhotocurrentRecord
 
 __all__ = [
@@ -23,10 +25,13 @@ __all__ = [
     "sample_counts",
     "bhd_difference_current",
     "predict_noise_widths",
+    "semiclassical_record",
     "run_semiclassical_correlator",
 ]
 
 THINNING_MARGIN = 1.1
+# samples per independent stationary realization in the correlator
+CORRELATOR_CHUNK = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -102,24 +107,6 @@ def sample_counts(
     return CountRecord(kept, t0, t1)
 
 
-def _one_pole(x: np.ndarray, a: float) -> np.ndarray:
-    """y[n] = a y[n-1] + (1-a) x[n], zero initial state, block-vectorized."""
-    n = x.size
-    out = np.empty(n)
-    # a^(-block) kept well below overflow
-    block = max(1, min(8192, int(-60.0 / math.log(a)) if a > 0 else 8192))
-    prev = 0.0
-    i = 0
-    while i < n:
-        j = min(block, n - i)
-        powers = a ** np.arange(1, j + 1)
-        driven = np.cumsum((1.0 - a) * x[i : i + j] / powers)
-        out[i : i + j] = powers * (prev + driven)
-        prev = out[i + j - 1]
-        i += j
-    return out
-
-
 def bhd_difference_current(
     port1_intensity,
     port2_intensity,
@@ -145,7 +132,7 @@ def bhd_difference_current(
         - np.bincount(idx2, minlength=n)
     ) / grid.dt
     a = math.exp(-2.0 * math.pi * filter_bandwidth * grid.dt)
-    current = _one_pole(impulses, a)
+    current = first_order_recurrence(a, (1.0 - a) * impulses)
     return PhotocurrentRecord(grid, current, filter_bandwidth)
 
 
@@ -161,6 +148,35 @@ def predict_noise_widths(
     )
 
 
+def semiclassical_record(
+    model: FieldModel,
+    lo: LocalOscillator,
+    grid: TimeGrid,
+    stream: RngStream,
+    bandwidth: float,
+    efficiency: float = 1.0,
+    dark_rate: float = 0.0,
+    dead_time: float = 0.0,
+) -> tuple[CountRecord, PhotocurrentRecord]:
+    """One stochastic wave split 50/50: clicks on one arm, homodyne current
+    on the other.
+
+    The counting arm goes through the detector model (efficiency, dark rate,
+    dead time); the other arm is mixed with the local oscillator and its two
+    ports make the filtered difference current. Draw order on the stream:
+    path, clicks, then the two homodyne ports.
+    """
+    arm_count, arm_wave = split_beam(generate_path(model, grid, stream))
+    counts = sample_counts(
+        arm_count.intensity(), grid, stream, efficiency, dark_rate, dead_time
+    )
+    port1, port2 = mix_with_local_oscillator(arm_wave, lo)
+    current = bhd_difference_current(
+        port1.intensity(), port2.intensity(), grid, bandwidth, stream
+    )
+    return counts, current
+
+
 def run_semiclassical_correlator(
     model: FieldModel,
     lo: LocalOscillator,
@@ -168,77 +184,38 @@ def run_semiclassical_correlator(
     segment_halfwidth: float,
     stream: RngStream,
     dt: float,
-    bandwidth: float | None = None,
     bin_width: float | None = None,
-    chunk_samples: int = 1_000_000,
 ):
     """Wave-particle correlator: clicks on one arm trigger current averaging
     on the other.
 
-    The wave is split 50/50; one arm is counted at its intensity, the other
-    is homodyned against the local oscillator. Photocurrent segments centered
-    on each click are accumulated into the raw (unnormalized) conditional
-    average; converting to h(tau) is the analyzers' job.
+    Long durations are simulated as independent stationary semiclassical
+    records of at most CORRELATOR_CHUNK samples each, all drawn from the one
+    stream, with an ideal detector and filter bandwidth 0.1/dt. Their
+    click-triggered average is estimate_h's; triggers whose segment would
+    cross a chunk edge are dropped.
 
-    Long durations are simulated as independent stationary realizations of at
-    most chunk_samples samples each, all drawn from the one stream; triggers
-    whose segment would cross a chunk edge are dropped.
-
-    Returns (CorrelationSeries with normalization='raw', counts_used).
+    Returns (CorrelationSeries with normalization='raw', counts_used): h
+    scaled back by the unconditional current mean, which meta keeps.
     """
-    from .analyzers import CorrelationSeries, segment_sums
-
     if segment_halfwidth * 4 > duration:
         raise ValueError("duration must be much longer than the segment halfwidth")
-    if bandwidth is None:
-        bandwidth = 0.1 / dt
     k = int(round(segment_halfwidth / dt))
     n_total = int(round(duration / dt))
-    lag = None
-    seg_sum = seg_sumsq = None
-    n_used = 0
-    cur_total = 0.0
-    cur_samples = 0
-    done = 0
-    while done < n_total:
-        n_chunk = min(chunk_samples, n_total - done)
-        if n_chunk <= 2 * k + 1:
-            break
-        grid = TimeGrid(t_start=0.0, dt=dt, n_samples=n_chunk)
-        path = generate_path(model, grid, stream)
-        arm_count, arm_wave = split_beam(path)
-        counts = sample_counts(arm_count.intensity(), grid, stream)
-        port1, port2 = mix_with_local_oscillator(arm_wave, lo)
-        current = bhd_difference_current(
-            port1.intensity(), port2.intensity(), grid, bandwidth, stream
-        )
-        lag, s, ss, m = segment_sums(
-            counts.timestamps, current, segment_halfwidth, bin_width
-        )
-        if seg_sum is None:
-            seg_sum, seg_sumsq = s, ss
-        else:
-            seg_sum += s
-            seg_sumsq += ss
-        n_used += m
-        cur_total += float(current.samples.sum())
-        cur_samples += current.samples.size
-        done += n_chunk
 
-    if lag is None:
-        raise ValueError("duration shorter than one segment window")
-    if n_used == 0:
-        values = np.zeros_like(lag)
-        stderr = np.full_like(lag, np.inf)
-    else:
-        values = seg_sum / n_used
-        var = np.maximum(seg_sumsq / n_used - values**2, 0.0)
-        stderr = np.sqrt(var / n_used)
-    meta = {
-        "n_triggers": n_used,
-        "unconditional_mean": cur_total / cur_samples if cur_samples else 0.0,
-    }
-    series = CorrelationSeries(
-        lags=lag, values=values, stderr=stderr, normalization="raw", meta=meta
+    def chunks():
+        done = 0
+        while (n := min(CORRELATOR_CHUNK, n_total - done)) > 2 * k + 1:
+            yield semiclassical_record(model, lo, TimeGrid(0.0, dt, n), stream, 0.1 / dt)
+            done += n
+
+    h = estimate_h(chunks(), segment_halfwidth, bin_width)
+    mean = h.meta["unconditional_mean"]
+    raw = CorrelationSeries(
+        lags=h.lags,
+        values=h.values * mean,
+        stderr=h.stderr * abs(mean),
+        normalization="raw",
+        meta=h.meta,
     )
-    return series, n_used
+    return raw, h.meta["n_triggers"]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import RngStream, TimeGrid
+from .numerics import RngStream, TimeGrid, first_order_recurrence
 from .records import read_table, write_table
 
 MODEL_KINDS = ("coherent", "thermal_ou", "modulated_burst")
@@ -99,27 +99,14 @@ class FieldPath:
 
 def _ou_path(ibar: float, tau_c: float, grid: TimeGrid, stream: RngStream) -> np.ndarray:
     """Stationary complex OU, quadrature variance ibar/2 each, exact update."""
-    n = grid.n_samples
     sigma = math.sqrt(ibar / 2.0)
     g0 = stream.gaussian(2)
     alpha0 = sigma * complex(g0[0], g0[1])
     rho = math.exp(-grid.dt / tau_c)
     kick = sigma * math.sqrt(1.0 - rho * rho)
-    out = np.empty(n, dtype=complex)
-    out[0] = alpha0
-    # block recurrence: alpha_{m+j} = rho^j alpha_m + kick * sum rho^(j-1-i) xi_i,
-    # block length capped so rho^(-block) stays far from overflow
-    block = max(1, min(8192, int(60.0 * tau_c / grid.dt)))
-    i = 1
-    while i < n:
-        j = min(block, n - i)
-        gs = stream.gaussian(2 * j)
-        xi = gs[0::2] + 1j * gs[1::2]
-        powers = rho ** np.arange(1, j + 1)
-        weighted = np.cumsum(xi / powers)
-        out[i : i + j] = powers * (out[i - 1] + kick * weighted)
-        i += j
-    return out
+    gs = stream.gaussian(2 * (grid.n_samples - 1))
+    xi = gs[0::2] + 1j * gs[1::2]
+    return np.concatenate([[alpha0], first_order_recurrence(rho, kick * xi, alpha0)])
 
 
 def _burst_path(model: FieldModel, grid: TimeGrid, stream: RngStream) -> np.ndarray:

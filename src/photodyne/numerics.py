@@ -1,12 +1,16 @@
 """Deterministic numeric substrate shared by every engine.
 
-Small dense complex linear algebra, a fixed-step RK4 integrator, a DFT with a
-pinned frequency convention, and reproducible counter-based random streams.
+Small dense complex linear algebra, a fixed-step RK4 integrator, a
+block-vectorized first-order recurrence, and reproducible counter-based
+random streams.
 All math is in dimensionless simulation units; unit relabeling happens in the
 CLI layer only.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,12 +18,51 @@ import numpy as np
 __all__ = [
     "TimeGrid",
     "RngStream",
-    "draw",
+    "first_order_recurrence",
     "integrate_linear_ode",
-    "discrete_fourier_transform",
-    "inverse_fourier_transform",
-    "spectral_power",
+    "single_blas_thread",
 ]
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of the loaded OpenBLAS, or None."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({ln.split()[-1] for ln in maps if "openblas" in ln})
+        libs = [ctypes.CDLL(path) for path in paths if path.startswith("/")]
+    except OSError:
+        return None
+    for lib in libs:
+        for name in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
+            if hasattr(lib, name % "get") and hasattr(lib, name % "set"):
+                return getattr(lib, name % "get"), getattr(lib, name % "set")
+    return None
+
+
+def single_blas_thread(func):
+    """Run func with OpenBLAS held to one thread, then restore its count.
+
+    The quantum engines chain many small dense products. A second BLAS
+    thread gains a few percent on an idle host, but its spin-waiting worker
+    stalls the chain several-fold once another process wants the core. BLAS
+    splits a product by rows and columns, never along the summed index, so
+    the bits are the same either way (LAPACK solves are not: keep them out).
+    """
+
+    @functools.wraps(func)
+    def wrapper(*args, **kwargs):
+        blas = _openblas_threads()
+        before = blas[0]() if blas else None
+        if blas:
+            blas[1](1)
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if blas:
+                blas[1](before)
+
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -95,19 +138,23 @@ class RngStream:
         return self._gen.exponential(mean) if n is None else self._gen.exponential(mean, n)
 
 
-def draw(stream: RngStream, kind: str, mean: float = 1.0) -> float:
-    """Single variate from a stream.
+def first_order_recurrence(a: float, drive, y0: complex = 0.0) -> np.ndarray:
+    """y[n] = a y[n-1] + drive[n] with y[-1] = y0, for 0 < a < 1.
 
-    kind is one of 'uniform01', 'standard_gaussian', 'exponential' (the last
-    takes its mean from the keyword).
+    Block-vectorized: inside a block y[i+j] = a^j (y[i-1] + sum a^-m drive[m]),
+    the block short enough that a^(-block) stays far from overflow. The output
+    is complex when drive or y0 is.
     """
-    if kind == "uniform01":
-        return float(stream.uniform())
-    if kind == "standard_gaussian":
-        return float(stream.gaussian())
-    if kind == "exponential":
-        return float(stream.exponential(mean))
-    raise ValueError(f"unknown draw kind {kind!r}")
+    drive = np.asarray(drive)
+    out = np.empty(drive.size, dtype=np.result_type(drive, y0))
+    block = max(1, min(8192, int(-60.0 / math.log(a))))
+    prev = y0
+    for i in range(0, drive.size, block):
+        seg = drive[i : i + block]
+        powers = a ** np.arange(1, seg.size + 1)
+        out[i : i + seg.size] = powers * (prev + np.cumsum(seg / powers))
+        prev = out[i + seg.size - 1]
+    return out
 
 
 def integrate_linear_ode(
@@ -148,36 +195,3 @@ def integrate_linear_ode(
         if not np.isfinite(psi).all():
             raise FloatingPointError("non-finite state during integration")
     return psi
-
-
-def discrete_fourier_transform(series, dt: float):
-    """One-sided DFT of a real series.
-
-    Returns (frequencies, spectrum) with frequencies k/(N*dt) in cycles per
-    unit time, k = 0 .. floor(N/2). Raw unnormalized coefficients; use
-    spectral_power for the Parseval sum.
-    """
-    x = np.asarray(series, dtype=float)
-    if x.size < 2:
-        raise ValueError("series must have at least 2 samples")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return np.fft.rfftfreq(x.size, dt), np.fft.rfft(x)
-
-
-def inverse_fourier_transform(spectrum, n_samples: int) -> np.ndarray:
-    """Invert a one-sided spectrum back to the real series of length n_samples."""
-    return np.fft.irfft(np.asarray(spectrum, dtype=complex), n=n_samples)
-
-
-def spectral_power(spectrum, n_samples: int) -> float:
-    """Total power sum |X_k|^2/N over the full (two-sided) spectrum.
-
-    Equals sum(x_n^2) for the originating real series, which is the Parseval
-    identity in the one-sided bookkeeping (interior bins count twice).
-    """
-    s = np.abs(np.asarray(spectrum, dtype=complex)) ** 2
-    total = s[0] + 2.0 * s[1:].sum()
-    if n_samples % 2 == 0:
-        total -= s[-1]  # Nyquist bin is unpaired for even N
-    return float(total / n_samples)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import RngStream, TimeGrid, integrate_linear_ode
+from .numerics import RngStream, TimeGrid, integrate_linear_ode, single_blas_thread
 from .records import CountRecord, PhotocurrentRecord
 
 __all__ = [
@@ -156,6 +156,7 @@ def basis_state(system: System, excited: bool, n_photons: int) -> np.ndarray:
     return psi
 
 
+@single_blas_thread
 def evolve_master(
     system: System, rho0: np.ndarray, grid: TimeGrid, substeps: int = 1
 ) -> np.ndarray:
@@ -305,6 +306,14 @@ class _EnsembleEngine:
         self.prop_half_t = half.T.copy()
         self.a_t = system.a.T.copy()
         self.sm_t = system.sm.T.copy()
+        # a and sm hold at most one real entry per row, so psi @ [a.T | sm.T]
+        # is a column gather times that entry, taken on the real view: the one
+        # nonzero product in each sum of the dense matmul
+        ops = np.concatenate([system.a, system.sm])
+        if (np.count_nonzero(ops, axis=1) > 1).any() or np.iscomplex(ops).any():
+            raise ValueError("a and sm must hold at most one real entry per row")
+        self.ladder_src = np.argmax(ops != 0, axis=1)
+        self.ladder_w = np.repeat(ops[np.arange(2 * d), self.ladder_src].real, 2)
         self.rate_cav = jump_fraction * p.kappa
         self.rate_atom = p.gamma
         self.hom_amp = math.sqrt((1.0 - jump_fraction) * p.kappa)
@@ -336,10 +345,11 @@ class _EnsembleEngine:
         dt = self.dt
         psi = self.psi
 
-        a_psi = psi @ self.a_t
-        sm_psi = psi @ self.sm_t
-        n_cav = np.einsum("bi,bi->b", a_psi.conj(), a_psi).real
-        n_atom = np.einsum("bi,bi->b", sm_psi.conj(), sm_psi).real
+        ladder = np.take(psi, self.ladder_src, axis=1)
+        np.multiply(ladder.view(float), self.ladder_w, out=ladder.view(float))
+        ladder = ladder.reshape(len(psi), 2, -1)  # (batch, [a, sm], dim)
+        n_cav, n_atom = np.einsum("bki,bki->kb", ladder.conj(), ladder).real
+        a_psi = ladder[:, 0]
         quad = (np.exp(-1j * self.theta) * np.einsum(
             "bi,bi->b", psi.conj(), a_psi
         )).real
@@ -349,9 +359,11 @@ class _EnsembleEngine:
         jump_cav = self.u_cav[:, j] < self.rate_cav * n_cav * dt
         jump_atom = (~jump_cav) & (self.u_atom[:, j] < self.rate_atom * n_atom * dt)
 
-        new = (
-            psi + (self.hom_amp * np.exp(-1j * self.theta)) * a_psi * j_dt[:, None]
-        ) @ self.prop_t
+        # real factors act on the real view: the bits of numpy's complex
+        # multiply by x + 0j and of its complex division (reciprocal times)
+        kick = (self.hom_amp * np.exp(-1j * self.theta)) * a_psi
+        np.multiply(kick.view(float), j_dt[:, None], out=kick.view(float))
+        new = (kick + psi) @ self.prop_t
         # reductions act at the step midpoint: drop the diffusive kick for
         # that step (zero-mean), but keep the drift on both sides of the
         # collapse, otherwise every click skips a full step of drift
@@ -364,7 +376,8 @@ class _EnsembleEngine:
         norm = np.sqrt(np.einsum("bi,bi->b", new.conj(), new).real)
         if not (norm > 0).all():
             raise FloatingPointError("trajectory norm collapsed to zero")
-        self.psi = new / norm[:, None]
+        np.multiply(new.view(float), (1.0 / norm)[:, None], out=new.view(float))
+        self.psi = new
         return current, jump_cav, jump_atom
 
     def photon_number(self) -> np.ndarray:
@@ -372,6 +385,7 @@ class _EnsembleEngine:
         return np.einsum("bi,bi->b", a_psi.conj(), a_psi).real
 
 
+@single_blas_thread
 def _run_batch(
     system: System,
     grid: TimeGrid,
@@ -483,6 +497,7 @@ def unravel_mixed(
     )
 
 
+@single_blas_thread
 def ensemble_number_expectation(
     system: System,
     grid: TimeGrid,

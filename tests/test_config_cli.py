@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,15 @@ from photodyne.config import (
     ExperimentConfig,
     RunManifest,
 )
-from photodyne.records import write_table
+from photodyne.detection import semiclassical_record
+from photodyne.fields import FieldModel, LocalOscillator
+from photodyne.numerics import RngStream, TimeGrid
+from photodyne.records import (
+    load_count_record,
+    save_count_record,
+    save_photocurrent,
+    write_table,
+)
 
 QUANTUM_INI = """\
 [run]
@@ -152,6 +160,30 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="integer"):
             ExperimentConfig().with_env_overrides(env={ENV_SEED: "abc"})
 
+    def test_hashes_frozen(self):
+        # the canonical text, and so every config hash, must not drift
+        assert ExperimentConfig().config_hash() == (
+            "3e1673c50a12ec59d9b11d72fab7ee720e8cb8961d1dba4703cbd1189ddc1773"
+        )
+        every = ExperimentConfig(
+            g=1.25, kappa=2.0, gamma=0.5, drive=0.3, fock_cutoff=10,
+            kind="modulated_burst", amplitude=1.5, phase=0.25, mean_intensity=2.5,
+            tau_c=3.0, burst_rate=0.1, burst_freq=2.0, burst_decay=0.5,
+            burst_amp=0.75, burst_sign="symmetric", lo_amplitude=6.0, lo_phase=0.5,
+            lo_align=False, bandwidth=0.75, efficiency=0.8, dark_rate=0.01,
+            dead_time=0.05, source="semiclassical", seed=12345, duration=250.0,
+            dt=0.01, n_trajectories=7, jump_fraction=0.25, burn_in=5.0, workers=2,
+            max_lag=8.0, bin_width=0.5, halfwidth=8.0, n_frequencies=201,
+            max_frequency=3.0, si_rate_scale_mhz=10.0, outdir="elsewhere",
+            label="every",
+        )
+        changed = [f for f in fields(ExperimentConfig)
+                   if getattr(every, f.name) == f.default]
+        assert changed == []
+        assert every.config_hash() == (
+            "39474b27647e7ff6c6db98369963e75d709d31ed19a89492363edc2c8e12a4ad"
+        )
+
 
 class TestRunManifest:
     def test_json_round_trip(self):
@@ -166,17 +198,20 @@ class TestRunManifest:
             RunManifest.from_json('{"config_hash": "x", "seed": "NaN?"}')
 
     def test_for_directory_skips_itself(self, tmp_path):
+        # only the named files are listed: not the manifest, not leftovers
         (tmp_path / "a.txt").write_text("12345")
+        (tmp_path / "b.txt").write_text("1")
         (tmp_path / "manifest.json").write_text("{}")
+        (tmp_path / "report.json").write_text("{}")
         cfg = ExperimentConfig()
-        m = RunManifest.for_directory(tmp_path, cfg)
-        assert m.files == (("a.txt", 5),)
+        m = RunManifest.for_directory(tmp_path, cfg, ["b.txt", "a.txt"])
+        assert m.files == (("a.txt", 5), ("b.txt", 1))
         assert m.config_hash == cfg.config_hash()
 
     def test_validate_files_catches_truncation(self, tmp_path):
         (tmp_path / "a.txt").write_text("12345")
         cfg = ExperimentConfig()
-        m = RunManifest.for_directory(tmp_path, cfg)
+        m = RunManifest.for_directory(tmp_path, cfg, ["a.txt"])
         m.save(tmp_path)
         (tmp_path / "a.txt").write_text("123")
         with pytest.raises(DataError, match="bytes"):
@@ -184,7 +219,7 @@ class TestRunManifest:
 
     def test_validate_files_catches_deletion(self, tmp_path):
         (tmp_path / "a.txt").write_text("12345")
-        m = RunManifest.for_directory(tmp_path, ExperimentConfig())
+        m = RunManifest.for_directory(tmp_path, ExperimentConfig(), ["a.txt"])
         (tmp_path / "a.txt").unlink()
         with pytest.raises(DataError, match="missing"):
             m.validate_files(tmp_path)
@@ -302,6 +337,20 @@ class TestAnalyzeCompareAudit:
     def test_analyze_missing_dir_exits_3(self, tmp_path, capsys):
         assert main(["analyze", "--indir", str(tmp_path)]) == 3
 
+    def test_smaller_rerun_into_used_directory(self, tmp_path, capsys):
+        # a previous run's records and analysis outputs must not leak in
+        cfg_path = tmp_path / "c.ini"
+        outdir = tmp_path / "out"
+        for n, seed in ((6, 5), (3, 8)):
+            cfg_path.write_text(QUANTUM_INI.replace("seed = 42", f"seed = {seed}")
+                                .replace("n_trajectories = 16", f"n_trajectories = {n}"))
+            assert main(["run", "--config", str(cfg_path), "--outdir", str(outdir)]) == 0
+            assert main(["analyze", "--indir", str(outdir)]) == 0
+            report = json.loads((outdir / "report.json").read_text())
+            assert report["n_records"] == n
+        assert len(RunManifest.load(outdir).files) == 1 + 2 * 3
+        assert main(["compare", "--indir", str(outdir)]) == 0
+
     def test_truncated_record_exits_3(self, quantum_run, tmp_path, capsys):
         import shutil
 
@@ -345,6 +394,33 @@ class TestSemiclassicalPipeline:
     def test_compare_rejected_exit_2(self, semi_run, capsys):
         assert main(["compare", "--indir", str(semi_run)]) == 2
 
+    def test_records_are_semiclassical_record(self, semi_run, tmp_path):
+        cfg = ExperimentConfig.from_text((semi_run / "config.ini").read_text())
+        grid = TimeGrid(0.0, cfg.dt, int(round(cfg.duration / cfg.dt)))
+        model = FieldModel(kind=cfg.kind, amplitude=cfg.amplitude, phase=cfg.phase)
+        lo = LocalOscillator(cfg.lo_amplitude, cfg.phase)  # aligned to the carrier
+        for i in range(cfg.n_trajectories):
+            counts, current = semiclassical_record(
+                model, lo, grid, RngStream(cfg.seed, i), cfg.bandwidth
+            )
+            save_count_record(tmp_path / "c.txt", counts)
+            save_photocurrent(tmp_path / "p.csv", current)
+            assert (tmp_path / "c.txt").read_bytes() == (
+                semi_run / f"counts_{i:05d}.txt").read_bytes()
+            assert (tmp_path / "p.csv").read_bytes() == (
+                semi_run / f"current_{i:05d}.csv").read_bytes()
+
+    def test_dead_time_reaches_the_records(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(SEMI_INI + "\n[detection]\ndead_time = 0.4\n")
+        outdir = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--outdir", str(outdir)]) == 0
+        for i in range(2):
+            ts = load_count_record(outdir / f"counts_{i:05d}.txt").timestamps
+            # a rate-2 arm clicks closer than 0.4 about half the time
+            assert ts.size > 50
+            assert np.diff(ts).min() >= 0.4
+
     def test_phase_random_source_skips_h(self, tmp_path, capsys):
         # zero-mean current: h normalization is meaningless, so analyze
         # must drop h and the spectrum instead of emitting noise ratios
@@ -355,6 +431,8 @@ class TestSemiclassicalPipeline:
             "dt = 0.05\nn_trajectories = 4\nburn_in = 0.0\n"
         )
         outdir = tmp_path / "o"
+        outdir.mkdir()
+        (outdir / "h.csv").write_text("left by an earlier run\n")
         assert main(["run", "--config", str(cfg_path), "--outdir", str(outdir)]) == 0
         assert main(["analyze", "--indir", str(outdir)]) == 0
         assert (outdir / "g2.csv").is_file()

@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 
 from photodyne.detection import (
-    _one_pole,
     bhd_difference_current,
     predict_noise_widths,
     run_semiclassical_correlator,
     sample_counts,
 )
 from photodyne.fields import FieldModel, LocalOscillator, generate_path, mix_with_local_oscillator
-from photodyne.numerics import RngStream, TimeGrid
+from photodyne.numerics import RngStream, TimeGrid, first_order_recurrence
+
+
+def _one_pole(x, a):
+    """The homodyne filter: y[n] = a y[n-1] + (1-a) x[n], zero initial state."""
+    return first_order_recurrence(a, (1.0 - a) * np.asarray(x))
 
 
 def _poisson_z(n_observed, expected):
@@ -110,6 +114,21 @@ class TestOnePole:
         y = _one_pole(x, 1e-4)
         assert np.isfinite(y).all()
         assert y[-1] == pytest.approx(1.0, rel=1e-3)
+
+    def test_complex_drive_matches_direct_ou_recursion(self):
+        # the thermal field's update: alpha_n = rho alpha_{n-1} + kick xi_n
+        g = RngStream(75, 0).gaussian(6000)
+        kick_xi = 0.3 * (g[0::2] + 1j * g[1::2])
+        rho = math.exp(-0.02 / 0.05)  # blocks of 150 samples
+        alpha0 = 0.4 - 0.7j
+        y = first_order_recurrence(rho, kick_xi, alpha0)
+        ref = np.empty_like(kick_xi)
+        prev = alpha0
+        for i, d in enumerate(kick_xi):
+            prev = rho * prev + d
+            ref[i] = prev
+        assert y.dtype == complex
+        assert np.allclose(y, ref, rtol=1e-12, atol=1e-12)
 
 
 class TestBhdCurrent:

@@ -1,18 +1,11 @@
-"""Grid, stream, integrator, and transform behavior."""
+"""Grid, stream, integrator, and recurrence behavior."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from photodyne.numerics import (
-    RngStream,
-    TimeGrid,
-    discrete_fourier_transform,
-    draw,
-    integrate_linear_ode,
-    inverse_fourier_transform,
-    spectral_power,
-)
+from photodyne import numerics
+from photodyne.numerics import RngStream, TimeGrid, integrate_linear_ode, single_blas_thread
 
 
 class TestTimeGrid:
@@ -74,14 +67,6 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(7, 0).exponential(0.0)
 
-    def test_scalar_draws(self):
-        s = RngStream(8, 0)
-        assert isinstance(draw(s, "uniform01"), float)
-        assert isinstance(draw(s, "standard_gaussian"), float)
-        assert isinstance(draw(s, "exponential", mean=2.0), float)
-        with pytest.raises(ValueError):
-            draw(s, "cauchy")
-
     def test_negative_key_rejected(self):
         with pytest.raises(ValueError):
             RngStream(-1, 0)
@@ -126,31 +111,20 @@ class TestIntegrateLinearOde:
             integrate_linear_ode(g, np.array([1.0 + 0j]), 1.0, 400)
 
 
-class TestTransforms:
-    def test_single_tone_lands_in_one_bin(self):
-        dt = 0.01
-        n = 1000
-        t = dt * np.arange(n)
-        f0 = 7.0  # cycles per unit time, exactly k=70
-        x = np.cos(2.0 * np.pi * f0 * t)
-        freqs, spec = discrete_fourier_transform(x, dt)
-        k = np.argmax(np.abs(spec))
-        assert freqs[k] == pytest.approx(f0)
+def test_single_blas_thread_holds_one_thread_and_restores():
+    blas = numerics._openblas_threads()
+    count = (lambda: blas[0]()) if blas else (lambda: None)
+    seen = []
 
-    def test_round_trip(self):
-        x = RngStream(11, 0).gaussian(257)
-        _, spec = discrete_fourier_transform(x, 0.1)
-        back = inverse_fourier_transform(spec, x.size)
-        assert np.allclose(back, x, atol=1e-12)
+    @single_blas_thread
+    def add(x, y=1):
+        seen.append(count())
+        return x + y
 
-    def test_parseval(self):
-        for n in (256, 257):
-            x = RngStream(12, n).gaussian(n)
-            _, spec = discrete_fourier_transform(x, 1.0)
-            assert spectral_power(spec, n) == pytest.approx(float(np.sum(x * x)), rel=1e-12)
-
-    def test_rejects_degenerate_input(self):
-        with pytest.raises(ValueError):
-            discrete_fourier_transform([1.0], 0.1)
-        with pytest.raises(ValueError):
-            discrete_fourier_transform([1.0, 2.0], 0.0)
+    before = count()
+    assert add(2, y=3) == 5
+    assert seen == [1 if blas else None]
+    assert count() == before
+    with pytest.raises(ZeroDivisionError):
+        single_blas_thread(lambda: 1 / 0)()
+    assert count() == before

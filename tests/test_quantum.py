@@ -27,6 +27,7 @@ from photodyne.quantum import (
     unravel_ensemble,
     unravel_mixed,
 )
+from photodyne.quantum import _EnsembleEngine
 
 FROZEN_NBAR = 0.0147836
 FROZEN_A = -0.1174j
@@ -275,6 +276,40 @@ class TestUnraveling:
         grid = TimeGrid(0.0, 0.02, 2000)
         rec = unravel_mixed(default_system, grid, seed=15, jump_fraction=0.0)
         assert rec.counts.n_events == 0
+
+    def test_step_matches_dense_products(self):
+        # the engine gathers a and sm rows and rescales on real views; that
+        # must give the bits of the plain dense update, jumps included
+        system = build_system(SystemParams(g=0.75, kappa=1.0, gamma=1.0, drive=0.5, fock_cutoff=14))
+        eng = _EnsembleEngine(system, 0.02, 0.9, 0.3, 2024, list(range(64)))
+        eng._refill()
+        rng = np.random.default_rng(5)
+        psi = rng.normal(size=(64, system.dim)) + 1j * rng.normal(size=(64, system.dim))
+        eng.psi = psi / np.linalg.norm(psi, axis=1)[:, None]
+        c = eng.hom_amp * np.exp(-1j * eng.theta)
+        seen_cav = seen_atom = 0
+        for j in range(60):
+            psi = eng.psi.copy()
+            a_psi = psi @ eng.a_t
+            sm_psi = psi @ eng.sm_t
+            n_cav = np.einsum("bi,bi->b", a_psi.conj(), a_psi).real
+            n_atom = np.einsum("bi,bi->b", sm_psi.conj(), sm_psi).real
+            quad = (np.exp(-1j * eng.theta) * np.einsum("bi,bi->b", psi.conj(), a_psi)).real
+            j_dt = 2.0 * eng.hom_amp * quad * eng.dt + eng.dw[:, j]
+            cav = eng.u_cav[:, j] < eng.rate_cav * n_cav * eng.dt
+            atom = (~cav) & (eng.u_atom[:, j] < eng.rate_atom * n_atom * eng.dt)
+            new = (psi + c * a_psi * j_dt[:, None]) @ eng.prop_t
+            new[cav] = ((psi[cav] @ eng.prop_half_t) @ eng.a_t) @ eng.prop_half_t
+            new[atom] = ((psi[atom] @ eng.prop_half_t) @ eng.sm_t) @ eng.prop_half_t
+            new = new / np.sqrt(np.einsum("bi,bi->b", new.conj(), new).real)[:, None]
+
+            current, jump_cav, jump_atom = eng.step()
+            assert current.tobytes() == (j_dt / eng.dt).tobytes()
+            assert np.array_equal(jump_cav, cav) and np.array_equal(jump_atom, atom)
+            assert eng.psi.tobytes() == new.tobytes()
+            seen_cav += int(cav.sum())
+            seen_atom += int(atom.sum())
+        assert seen_cav > 0 and seen_atom > 0
 
 
 class TestEnsembleTransient:
