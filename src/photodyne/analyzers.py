@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .records import CountRecord, PhotocurrentRecord
 
@@ -27,6 +28,11 @@ __all__ = [
 
 NORMALIZATIONS = ("raw", "g2", "h")
 _TRIGGER_CHUNK = 2048
+# dominant_oscillation_frequency: longest series the pencil sees, singular
+# values kept relative to the largest, amplitude cut relative to the largest
+_PENCIL_SAMPLES = 256
+_RANK_FLOOR = 1e-9
+_AMPLITUDE_FRACTION = 0.01
 
 
 @dataclass(frozen=True)
@@ -279,8 +285,13 @@ def estimate_g2(
     duration^2: the unordered-pair count of the record times the uniform-lag
     density, so a homogeneous Poisson record of any length averages to 1 in
     every bin. Records pool by summing numerators and expectations, which
-    keeps the estimator unbiased for ensembles of short records. Values
-    cover 0..max_lag; the function is even in lag by construction.
+    keeps the estimator unbiased for ensembles of short records. The
+    nb = round(max_lag / bin_width) bins cover [0, nb * bin_width), which
+    can end a little before or after max_lag; separations outside that
+    range are not counted. The function is even in lag by construction.
+    stderr is sqrt(max(count, expected)) / expected: Poisson on the count,
+    and on the independent-click expectation where fewer pairs were seen,
+    so an empty bin keeps its null error instead of a zero one.
     """
     if isinstance(records, CountRecord):
         records = [records]
@@ -309,18 +320,21 @@ def estimate_g2(
         expected += (
             n * (n - 1) / t_span**2 * bin_width * np.maximum(t_span - lags, 0.0)
         )
-        hi = np.searchsorted(ts, ts + max_lag, side="left")
-        for e in range(n - 1):
-            d = ts[e + 1 : hi[e]] - ts[e]
-            if d.size:
-                hist += np.bincount(
-                    np.minimum((d / bin_width).astype(int), nb - 1), minlength=nb
-                )
+        # offset k pairs each click with the k-th next one; separations grow
+        # with k, so the first offset with no pair in range ends the pass
+        for k in range(1, n):
+            idx = ((ts[k:] - ts[:-k]) / bin_width).astype(int)
+            idx = idx[idx < nb]
+            if idx.size == 0:
+                break
+            hist += np.bincount(idx, minlength=nb)
     if expected.max() <= 0:
         raise ValueError("no events; g2 undefined")
     ok = expected > 0
     values = np.divide(hist, expected, out=np.zeros(nb), where=ok)
-    stderr = np.divide(np.sqrt(hist), expected, out=np.zeros(nb), where=ok)
+    stderr = np.divide(
+        np.sqrt(np.maximum(hist, expected)), expected, out=np.zeros(nb), where=ok
+    )
     return CorrelationSeries(
         lags=lags,
         values=values,
@@ -439,54 +453,33 @@ def audit_classical_bounds(
     return AuditReport(checks=tuple(checks))
 
 
-def dominant_oscillation_frequency(
-    values,
-    dt: float,
-    n_exponentials: int = 1,
-    min_frequency: float = 0.2,
-) -> float:
-    """Frequency of the strongest spectral line after baseline removal.
+def dominant_oscillation_frequency(values, dt: float) -> float:
+    """|Im s| of the least-damped strong oscillating pole s of a series.
 
-    The final value is subtracted, a least-squares sum of n_exponentials
-    decaying exponentials (rates on a fixed log grid) is removed, the
-    remainder is evenly extended and transformed, and the magnitude peak
-    above min_frequency wins. Built for decaying oscillatory relaxation
-    curves; a signal with no line above the floor returns whatever noise
-    peaks there, so callers should know a line exists.
+    Matrix pencil (Hua & Sarkar, IEEE Trans. ASSP 38, 814, 1990), exact on
+    noiseless sums of damped exponentials: the series, decimated to at most
+    _PENCIL_SAMPLES samples, fills a Hankel matrix of n // 3 + 1 columns
+    whose singular values above _RANK_FLOOR of the largest count the poles;
+    amplitudes are least squares on their Vandermonde matrix. Poles under
+    _AMPLITUDE_FRACTION of the largest amplitude are ignored. The least
+    damped wins, not the lowest in frequency: a relaxation curve can hold a
+    weak slow pole just under the cut. ValueError when none oscillates.
     """
     y = np.asarray(values, dtype=float)
     if y.ndim != 1 or y.size < 8:
         raise ValueError("need a 1-d series of at least 8 samples")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    t = np.arange(y.size) * dt
-    r = y - y[-1]
-    rates = np.geomspace(0.02, 8.0, 40 if n_exponentials == 1 else 25)
-    best = None
-    if n_exponentials == 1:
-        for a1 in rates:
-            e = np.exp(-a1 * t)
-            amp = float(np.dot(e, r) / np.dot(e, e))
-            q = r - amp * e
-            v = float(np.dot(q, q))
-            if best is None or v < best[0]:
-                best = (v, q)
-    elif n_exponentials == 2:
-        for i, a1 in enumerate(rates):
-            for a2 in rates[i + 1 :]:
-                basis = np.stack([np.exp(-a1 * t), np.exp(-a2 * t)], axis=1)
-                coef, *_ = np.linalg.lstsq(basis, r, rcond=None)
-                q = r - basis @ coef
-                v = float(np.dot(q, q))
-                if best is None or v < best[0]:
-                    best = (v, q)
-    else:
-        raise ValueError("n_exponentials must be 1 or 2")
-    resid = best[1]
-    full = np.concatenate([resid[::-1], resid[1:]])
-    spec = np.abs(np.fft.rfft(full))
-    omega = 2.0 * math.pi * np.fft.rfftfreq(full.size, dt)
-    m = omega > min_frequency
-    if not m.any():
-        raise ValueError("frequency floor excludes the whole spectrum")
-    return float(omega[m][np.argmax(spec[m])])
+    step = -(-y.size // _PENCIL_SAMPLES)
+    y = y[::step]
+    _, sv, vh = np.linalg.svd(sliding_window_view(y, y.size // 3 + 1), full_matrices=False)
+    # more than L poles from L + 1 columns would force a zero pole
+    v = vh[:-1][sv[:-1] > _RANK_FLOOR * sv[0]].T
+    z = np.linalg.eigvals(np.linalg.pinv(v[:-1]) @ v[1:]).astype(complex)
+    z = z[z != 0]  # a zero pole is a one-sample transient (a lone spike)
+    s = np.log(z) / (step * dt)
+    amp = np.abs(np.linalg.lstsq(z ** np.arange(y.size)[:, None], y, rcond=None)[0])
+    osc = np.flatnonzero((s.imag != 0) & (amp >= _AMPLITUDE_FRACTION * amp.max(initial=0.0)))
+    if osc.size == 0:
+        raise ValueError("no oscillating pole in the series")
+    return float(abs(s[osc[np.argmax(s.real[osc])]].imag))

@@ -229,6 +229,14 @@ def _current_mean_resolved(pairs) -> bool:
     return abs(float(means.mean())) > 3.0 * se
 
 
+def _oscillation_or_none(values, dt: float) -> float | None:
+    """dominant_oscillation_frequency, or None for a flat g2 (as at g = 0)."""
+    try:
+        return dominant_oscillation_frequency(values, dt)
+    except ValueError:
+        return None
+
+
 def _cmd_analyze(args) -> int:
     indir = Path(args.indir)
     cfg, pairs = _load_run(indir)
@@ -240,10 +248,7 @@ def _cmd_analyze(args) -> int:
         top = cfg.max_frequency if cfg.max_frequency > 0 else 0.5 * math.pi / cfg.bin_width
         spectrum = squeezing_spectrum(h, np.linspace(0.0, top, cfg.n_frequencies))
     report_audit = audit_classical_bounds(g2, h)
-    try:
-        g2_peak = dominant_oscillation_frequency(g2.values, cfg.bin_width)
-    except ValueError:
-        g2_peak = None
+    g2_peak = _oscillation_or_none(g2.values, cfg.bin_width)
 
     write_table(
         indir / "g2.csv",
@@ -353,11 +358,8 @@ def _cmd_compare(args) -> int:
             "frac_within_3": float(np.mean(z <= 3.0)) if z.size else math.nan,
         }
 
-    try:
-        mc_peak = dominant_oscillation_frequency(mc_g2.values, cfg.bin_width)
-    except ValueError:
-        mc_peak = None
-    reg_peak = dominant_oscillation_frequency(reg_g2.values[reg_g2.lags >= 0], cfg.dt)
+    mc_peak = _oscillation_or_none(mc_g2.values, cfg.bin_width)
+    reg_peak = _oscillation_or_none(reg_g2.values[reg_g2.lags >= 0], cfg.dt)
 
     result = {
         "config_hash": cfg.config_hash(),

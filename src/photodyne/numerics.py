@@ -47,7 +47,8 @@ def single_blas_thread(func):
     thread gains a few percent on an idle host, but its spin-waiting worker
     stalls the chain several-fold once another process wants the core. BLAS
     splits a product by rows and columns, never along the summed index, so
-    the bits are the same either way (LAPACK solves are not: keep them out).
+    a product's bits are the same either way; a LAPACK solve's bits are
+    not, so wrapping one makes them the same on every host.
     """
 
     @functools.wraps(func)
@@ -168,7 +169,8 @@ def integrate_linear_ode(
     Parameters
     ----------
     generator : (d, d) complex matrix G.
-    state : (d,) complex vector.
+    state : (d,) complex vector, or a (d, k) block of k column states
+        advanced together (the identity gives the propagator).
     dt : step size, > 0.
     n_steps : number of steps taken.
 

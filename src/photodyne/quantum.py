@@ -112,6 +112,7 @@ def liouvillian(system: System) -> np.ndarray:
     return lv
 
 
+@single_blas_thread
 def steady_state(system: System) -> np.ndarray:
     """Null vector of the Liouvillian with unit trace.
 

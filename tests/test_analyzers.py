@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from photodyne.analyzers import (
@@ -17,6 +19,7 @@ from photodyne.analyzers import (
     squeezing_spectrum,
 )
 from photodyne.numerics import RngStream, TimeGrid
+from photodyne.quantum import DEFAULTS, SystemParams, build_system, g2_regression, liouvillian
 from photodyne.records import CountRecord, PhotocurrentRecord
 
 
@@ -231,6 +234,19 @@ class TestEstimateH:
             estimate_h((c, cur), halfwidth=1.0)
 
 
+def _poisson_records():
+    """40 Poisson click records at rate 2 over 100 time units."""
+    rng = RngStream(seed=2026, stream_id=0)
+    records = []
+    for _ in range(40):
+        ts = np.cumsum(rng.exponential(0.5, 400))
+        records.append(CountRecord(ts[ts < 100.0], 0.0, 100.0))
+    return records
+
+
+_POISSON_RECORDS = _poisson_records()
+
+
 class TestEstimateG2:
     def test_hand_counted_histogram(self):
         ts = np.array([1.0, 1.3, 2.0, 6.0])
@@ -300,6 +316,27 @@ class TestEstimateG2:
         rec = CountRecord(np.array([]), 0.0, 10.0)
         with pytest.raises(ValueError, match="no events"):
             estimate_g2(rec, max_lag=1.0, bin_width=0.1)
+
+    def test_empty_zero_lag_bin_keeps_its_null_error(self):
+        rec = CountRecord(np.array([1.0, 5.0, 9.0]), 0.0, 10.0)
+        series = estimate_g2(rec, max_lag=2.0, bin_width=0.5)
+        assert series.values[0] == 0.0
+        assert (series.stderr > 0).all()
+        zero = audit_classical_bounds(g2=series).checks[0]
+        assert zero.name == "g2_zero" and zero.verdict != "violated"
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        bin_width=st.floats(0.05, 0.5),
+        bins=st.floats(1.05, 12.0),
+    )
+    def test_poisson_flat_for_any_binning(self, bin_width, bins):
+        # max_lag need not be a whole number of bins: the last bin must
+        # neither collect nor lose the separations past nb * bin_width
+        series = estimate_g2(_POISSON_RECORDS, max_lag=bins * bin_width, bin_width=bin_width)
+        z = (series.values - 1.0) / series.stderr
+        assert np.abs(z).max() < 3.5
+        assert audit_classical_bounds(g2=series).overall != "violated"
 
 
 class TestSqueezingSpectrum:
@@ -472,7 +509,7 @@ class TestDominantOscillationFrequency:
             - 0.9 * np.exp(-1.3 * t)
             + 0.4 * np.exp(-0.6 * t) * np.cos(3.1 * t)
         )
-        w = dominant_oscillation_frequency(y, dt, n_exponentials=2)
+        w = dominant_oscillation_frequency(y, dt)
         assert w == pytest.approx(3.1, rel=0.05)
 
     def test_validation(self):
@@ -480,7 +517,23 @@ class TestDominantOscillationFrequency:
             dominant_oscillation_frequency([1.0, 2.0], 0.1)
         with pytest.raises(ValueError):
             dominant_oscillation_frequency(np.ones(100), -0.1)
+
+    def test_flat_series_has_no_oscillating_pole(self):
         with pytest.raises(ValueError):
-            dominant_oscillation_frequency(np.ones(100), 0.1, n_exponentials=3)
-        with pytest.raises(ValueError, match="floor"):
-            dominant_oscillation_frequency(np.ones(16), 0.001, min_frequency=1e9)
+            dominant_oscillation_frequency(np.ones(100), 0.1)
+
+    @pytest.mark.parametrize(
+        "params, dt, n",
+        [
+            (SystemParams(g=3.0, kappa=1.0, gamma=1.0, drive=0.1, fock_cutoff=8), 0.01, 1601),
+            (DEFAULTS, 0.02, 601),
+        ],
+    )
+    def test_regression_g2_reads_least_damped_liouvillian_pole(self, params, dt, n):
+        system = build_system(params)
+        ev = np.linalg.eigvals(liouvillian(system))
+        osc = ev[np.abs(ev.imag) > 1e-3 * max(1.0, params.g)]
+        pole = abs(osc[np.argmax(osc.real)].imag)
+        reg = g2_regression(system, TimeGrid(0.0, dt, n))
+        w = dominant_oscillation_frequency(reg.values[reg.lags >= 0], dt)
+        assert w == pytest.approx(pole, rel=0.01)

@@ -351,6 +351,17 @@ class TestAnalyzeCompareAudit:
         assert len(RunManifest.load(outdir).files) == 1 + 2 * 3
         assert main(["compare", "--indir", str(outdir)]) == 0
 
+    def test_compare_without_oscillation(self, tmp_path, capsys):
+        # at g = 0 the regression g2 is flat: no oscillating pole to report
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text("[system]\ng = 0.0\n\n" + QUANTUM_INI.replace("duration = 200.0", "duration = 60.0")
+                            .replace("n_trajectories = 16", "n_trajectories = 4"))
+        outdir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--outdir", str(outdir)]) == 0
+        assert main(["analyze", "--indir", str(outdir)]) == 0
+        assert main(["compare", "--indir", str(outdir)]) == 0
+        assert json.loads((outdir / "compare.json").read_text())["g2_peak_regression"] is None
+
     def test_truncated_record_exits_3(self, quantum_run, tmp_path, capsys):
         import shutil
 

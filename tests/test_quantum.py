@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from photodyne import numerics
 from photodyne.numerics import TimeGrid
 from photodyne.quantum import (
     DEFAULTS,
@@ -120,6 +121,20 @@ class TestSteadyState:
         rho = steady_state(system)
         nbar = expectation(system.a.conj().T @ system.a, rho).real
         assert nbar == pytest.approx(FROZEN_NBAR_STRONG, rel=2e-4)
+
+    def test_bits_do_not_depend_on_blas_threads(self, default_system):
+        blas = numerics._openblas_threads()
+        if blas is None:
+            pytest.skip("no OpenBLAS loaded")
+        before = blas[0]()
+        rhos = []
+        try:
+            for n in (1, 2):
+                blas[1](n)
+                rhos.append(steady_state(default_system))
+        finally:
+            blas[1](before)
+        assert np.array_equal(rhos[0], rhos[1])
 
     def test_cutoff_overflow_refused(self):
         # empty-cavity amplitude 2*drive/kappa = 3 photons mean >> cutoff 4
