@@ -29,7 +29,8 @@ __all__ = [
 NORMALIZATIONS = ("raw", "g2", "h")
 _TRIGGER_CHUNK = 2048
 # dominant_oscillation_frequency: longest series the pencil sees, singular
-# values kept relative to the largest, amplitude cut relative to the largest
+# values kept relative to the largest for an exact series, amplitude cut
+# relative to the largest
 _PENCIL_SAMPLES = 256
 _RANK_FLOOR = 1e-9
 _AMPLITUDE_FRACTION = 0.01
@@ -453,17 +454,21 @@ def audit_classical_bounds(
     return AuditReport(checks=tuple(checks))
 
 
-def dominant_oscillation_frequency(values, dt: float) -> float:
+def dominant_oscillation_frequency(values, dt: float, *, stderr=None) -> float:
     """|Im s| of the least-damped strong oscillating pole s of a series.
 
     Matrix pencil (Hua & Sarkar, IEEE Trans. ASSP 38, 814, 1990), exact on
     noiseless sums of damped exponentials: the series, decimated to at most
     _PENCIL_SAMPLES samples, fills a Hankel matrix of n // 3 + 1 columns
-    whose singular values above _RANK_FLOOR of the largest count the poles;
-    amplitudes are least squares on their Vandermonde matrix. Poles under
-    _AMPLITUDE_FRACTION of the largest amplitude are ignored. The least
-    damped wins, not the lowest in frequency: a relaxation curve can hold a
-    weak slow pole just under the cut. ValueError when none oscillates.
+    whose singular values above a floor count the poles; amplitudes are least
+    squares on their Vandermonde matrix. Poles under _AMPLITUDE_FRACTION of
+    the largest amplitude are ignored. The least damped wins, not the lowest
+    in frequency: a relaxation curve can hold a weak slow pole just under the
+    cut. The floor is _RANK_FLOOR of the largest singular value for an exact
+    series. Given the per-sample stderr of a sampled one, it is the noise
+    level of the Hankel matrix, rms(stderr) (sqrt(rows) + sqrt(cols)), and
+    the chosen pole's amplitude must also exceed its least-squares error.
+    ValueError when no pole passes.
     """
     y = np.asarray(values, dtype=float)
     if y.ndim != 1 or y.size < 8:
@@ -472,14 +477,32 @@ def dominant_oscillation_frequency(values, dt: float) -> float:
         raise ValueError("dt must be positive")
     step = -(-y.size // _PENCIL_SAMPLES)
     y = y[::step]
-    _, sv, vh = np.linalg.svd(sliding_window_view(y, y.size // 3 + 1), full_matrices=False)
+    hankel = sliding_window_view(y, y.size // 3 + 1)
+    _, sv, vh = np.linalg.svd(hankel, full_matrices=False)
+    if stderr is None:
+        floor = _RANK_FLOOR * sv[0]
+    else:
+        se = np.asarray(stderr, dtype=float)
+        if se.shape != np.shape(values):
+            raise ValueError("stderr must match values")
+        noise = math.sqrt(np.mean(se[::step] ** 2))
+        floor = noise * (math.sqrt(hankel.shape[0]) + math.sqrt(hankel.shape[1]))
     # more than L poles from L + 1 columns would force a zero pole
-    v = vh[:-1][sv[:-1] > _RANK_FLOOR * sv[0]].T
+    v = vh[:-1][sv[:-1] > floor].T
+    if v.shape[1] == 0:
+        raise ValueError("no pole above the noise")
     z = np.linalg.eigvals(np.linalg.pinv(v[:-1]) @ v[1:]).astype(complex)
     z = z[z != 0]  # a zero pole is a one-sample transient (a lone spike)
     s = np.log(z) / (step * dt)
-    amp = np.abs(np.linalg.lstsq(z ** np.arange(y.size)[:, None], y, rcond=None)[0])
-    osc = np.flatnonzero((s.imag != 0) & (amp >= _AMPLITUDE_FRACTION * amp.max(initial=0.0)))
+    vander = z ** np.arange(y.size)[:, None]
+    amp = np.abs(np.linalg.lstsq(vander, y, rcond=None)[0])
+    # a lone negative real pole only flips sign each sample: no resolved frequency
+    osc = np.flatnonzero((z.imag != 0) & (amp >= _AMPLITUDE_FRACTION * amp.max(initial=0.0)))
     if osc.size == 0:
         raise ValueError("no oscillating pole in the series")
-    return float(abs(s[osc[np.argmax(s.real[osc])]].imag))
+    k = osc[np.argmax(s.real[osc])]
+    if stderr is not None:
+        err = noise * math.sqrt(np.linalg.pinv(vander.conj().T @ vander)[k, k].real)
+        if not amp[k] > err:
+            raise ValueError("the oscillating pole is within its own error")
+    return float(abs(s[k].imag))

@@ -229,10 +229,11 @@ def _current_mean_resolved(pairs) -> bool:
     return abs(float(means.mean())) > 3.0 * se
 
 
-def _oscillation_or_none(values, dt: float) -> float | None:
-    """dominant_oscillation_frequency, or None for a flat g2 (as at g = 0)."""
+def _oscillation_or_none(values, dt: float, stderr=None) -> float | None:
+    """dominant_oscillation_frequency, or None for a flat g2 (as at g = 0)
+    or one whose oscillation does not stand above its stderr."""
     try:
-        return dominant_oscillation_frequency(values, dt)
+        return dominant_oscillation_frequency(values, dt, stderr=stderr)
     except ValueError:
         return None
 
@@ -248,7 +249,7 @@ def _cmd_analyze(args) -> int:
         top = cfg.max_frequency if cfg.max_frequency > 0 else 0.5 * math.pi / cfg.bin_width
         spectrum = squeezing_spectrum(h, np.linspace(0.0, top, cfg.n_frequencies))
     report_audit = audit_classical_bounds(g2, h)
-    g2_peak = _oscillation_or_none(g2.values, cfg.bin_width)
+    g2_peak = _oscillation_or_none(g2.values, cfg.bin_width, g2.stderr)
 
     write_table(
         indir / "g2.csv",
@@ -358,7 +359,7 @@ def _cmd_compare(args) -> int:
             "frac_within_3": float(np.mean(z <= 3.0)) if z.size else math.nan,
         }
 
-    mc_peak = _oscillation_or_none(mc_g2.values, cfg.bin_width)
+    mc_peak = _oscillation_or_none(mc_g2.values, cfg.bin_width, mc_g2.stderr)
     reg_peak = _oscillation_or_none(reg_g2.values[reg_g2.lags >= 0], cfg.dt)
 
     result = {

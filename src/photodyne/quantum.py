@@ -261,6 +261,12 @@ class TrajectoryRecord:
     atom_jumps: int
 
 
+def _realify(m: np.ndarray) -> np.ndarray:
+    """psi.view(float) @ _realify(m) == (psi @ m).view(float) for row states."""
+    re, im = m.real, m.imag
+    return np.stack([np.stack([re, im], -1), np.stack([-im, re], -1)], 1).reshape(2 * len(m), -1)
+
+
 class _EnsembleEngine:
     """Batched Euler stepper for the mixed jump/diffusion unraveling.
 
@@ -271,6 +277,16 @@ class _EnsembleEngine:
     pre-drawn in fixed blocks of NOISE_CHUNK steps (uniforms first) from one
     counter-based stream per trajectory, so results do not depend on
     batching.
+
+    A step is one real product on the interleaved (re, im) view v of the
+    batch, X = v @ [P | K | S]. P is the exact no-jump propagator. K is the
+    homodyne kick c a^T P with c = hom_amp e^{-i theta}, since
+    (psi + j c a psi) P = X_P + j X_K. S is the quadrature form, scaled so
+    that sum(X_S v) is the current's drift term. a^dag a and sm^dag sm are
+    diagonal in this basis, so both jump probabilities are (v * v) @ W; only
+    rows that jump form a psi or sm psi. Clicks and atom jumps match records
+    of the earlier complex per-operator step; currents differ from them in
+    their last digits, as the sums are rounded in another order.
 
     A click during step n collapses the state entering step n+1; its
     timestamp is the time of the first post-collapse current sample.
@@ -288,36 +304,33 @@ class _EnsembleEngine:
         if not 0.0 <= jump_fraction <= 1.0:
             raise ValueError("jump_fraction must be inside [0, 1]")
         p = system.params
-        self.system = system
         self.dt = dt
-        self.s = jump_fraction
-        self.theta = lo_phase
         d = system.dim
-        damp = 0.5 * (
-            p.kappa * system.a.conj().T @ system.a
-            + p.gamma * system.sm.conj().T @ system.sm
-        )
+        a, sm = system.a, system.sm
         # exact one-step propagator for the no-jump generator; the Euler
         # alternative leaves an O(dt) bias that dominates tight ensemble
         # averages long before sampling noise does
-        gen = -1j * system.hamiltonian - damp
-        prop = integrate_linear_ode(gen, np.eye(d, dtype=complex), dt / 64.0, 64)
-        self.prop_t = prop.T.copy()
+        gen = -1j * system.hamiltonian - 0.5 * (
+            p.kappa * a.conj().T @ a + p.gamma * sm.conj().T @ sm
+        )
+        prop_t = integrate_linear_ode(gen, np.eye(d, dtype=complex), dt / 64.0, 64).T
         half = integrate_linear_ode(gen, np.eye(d, dtype=complex), dt / 128.0, 64)
         self.prop_half_t = half.T.copy()
-        self.a_t = system.a.T.copy()
-        self.sm_t = system.sm.T.copy()
-        # a and sm hold at most one real entry per row, so psi @ [a.T | sm.T]
-        # is a column gather times that entry, taken on the real view: the one
-        # nonzero product in each sum of the dense matmul
-        ops = np.concatenate([system.a, system.sm])
-        if (np.count_nonzero(ops, axis=1) > 1).any() or np.iscomplex(ops).any():
-            raise ValueError("a and sm must hold at most one real entry per row")
-        self.ladder_src = np.argmax(ops != 0, axis=1)
-        self.ladder_w = np.repeat(ops[np.arange(2 * d), self.ladder_src].real, 2)
-        self.rate_cav = jump_fraction * p.kappa
-        self.rate_atom = p.gamma
-        self.hom_amp = math.sqrt((1.0 - jump_fraction) * p.kappa)
+        self.a_t = a.T.copy()
+        self.sm_t = sm.T.copy()
+        hom_amp = math.sqrt((1.0 - jump_fraction) * p.kappa)
+        phase = np.exp(-1j * lo_phase)
+        quad_t = 0.5 * (phase * self.a_t + np.conj(phase) * a.conj())
+        self.step_mat = np.hstack([
+            _realify(prop_t),
+            _realify(hom_amp * phase * self.a_t @ prop_t),
+            _realify(2.0 * hom_amp * dt * quad_t),
+        ])
+        self.number_w = np.repeat(np.diag(a.conj().T @ a).real, 2)
+        atom_w = np.repeat(np.diag(sm.conj().T @ sm).real, 2)
+        self.jump_w = dt * np.stack(
+            [jump_fraction * p.kappa * self.number_w, p.gamma * atom_w], axis=1
+        )
         self.streams = [RngStream(seed, sid) for sid in stream_ids]
         self.batch = len(stream_ids)
         psi0 = basis_state(system, excited=False, n_photons=0)
@@ -338,52 +351,41 @@ class _EnsembleEngine:
         self._chunk_pos = 0
 
     def step(self):
-        """Advance one step. Returns (current_samples, cavity_jump_mask)."""
+        """Advance one step. Returns (current_samples, cavity_jump_mask,
+        atom_jump_mask)."""
         if self._chunk_pos >= NOISE_CHUNK:
             self._refill()
         j = self._chunk_pos
         self._chunk_pos += 1
-        dt = self.dt
         psi = self.psi
+        v = psi.view(float)
+        w = v.shape[1]  # 2 * dim: the P, K and S blocks of x
+        x = v @ self.step_mat
+        j_dt = np.einsum("bi,bi->b", x[:, 2 * w :], v) + self.dw[:, j]
+        thresholds = (v * v) @ self.jump_w
+        jump_cav = self.u_cav[:, j] < thresholds[:, 0]
+        jump_atom = (~jump_cav) & (self.u_atom[:, j] < thresholds[:, 1])
 
-        ladder = np.take(psi, self.ladder_src, axis=1)
-        np.multiply(ladder.view(float), self.ladder_w, out=ladder.view(float))
-        ladder = ladder.reshape(len(psi), 2, -1)  # (batch, [a, sm], dim)
-        n_cav, n_atom = np.einsum("bki,bki->kb", ladder.conj(), ladder).real
-        a_psi = ladder[:, 0]
-        quad = (np.exp(-1j * self.theta) * np.einsum(
-            "bi,bi->b", psi.conj(), a_psi
-        )).real
-        j_dt = 2.0 * self.hom_amp * quad * dt + self.dw[:, j]
-        current = j_dt / dt
-
-        jump_cav = self.u_cav[:, j] < self.rate_cav * n_cav * dt
-        jump_atom = (~jump_cav) & (self.u_atom[:, j] < self.rate_atom * n_atom * dt)
-
-        # real factors act on the real view: the bits of numpy's complex
-        # multiply by x + 0j and of its complex division (reciprocal times)
-        kick = (self.hom_amp * np.exp(-1j * self.theta)) * a_psi
-        np.multiply(kick.view(float), j_dt[:, None], out=kick.view(float))
-        new = (kick + psi) @ self.prop_t
+        new = x[:, w : 2 * w] * j_dt[:, None]
+        new += x[:, :w]
         # reductions act at the step midpoint: drop the diffusive kick for
         # that step (zero-mean), but keep the drift on both sides of the
         # collapse, otherwise every click skips a full step of drift
-        if jump_cav.any():
-            half = psi[jump_cav] @ self.prop_half_t
-            new[jump_cav] = (half @ self.a_t) @ self.prop_half_t
-        if jump_atom.any():
-            half = psi[jump_atom] @ self.prop_half_t
-            new[jump_atom] = (half @ self.sm_t) @ self.prop_half_t
-        norm = np.sqrt(np.einsum("bi,bi->b", new.conj(), new).real)
+        new_c = new.view(complex)
+        for jumped, op_t in ((jump_cav, self.a_t), (jump_atom, self.sm_t)):
+            if jumped.any():
+                half = psi[jumped] @ self.prop_half_t
+                new_c[jumped] = (half @ op_t) @ self.prop_half_t
+        norm = np.sqrt(np.einsum("bi,bi->b", new, new))
         if not (norm > 0).all():
             raise FloatingPointError("trajectory norm collapsed to zero")
-        np.multiply(new.view(float), (1.0 / norm)[:, None], out=new.view(float))
-        self.psi = new
-        return current, jump_cav, jump_atom
+        new *= (1.0 / norm)[:, None]
+        self.psi = new_c
+        return j_dt / self.dt, jump_cav, jump_atom
 
     def photon_number(self) -> np.ndarray:
-        a_psi = self.psi @ self.a_t
-        return np.einsum("bi,bi->b", a_psi.conj(), a_psi).real
+        v = self.psi.view(float)
+        return (v * v) @ self.number_w
 
 
 @single_blas_thread
@@ -398,13 +400,11 @@ def _run_batch(
     store_current: bool,
 ) -> list[TrajectoryRecord]:
     eng = _EnsembleEngine(system, grid.dt, jump_fraction, lo_phase, seed, stream_ids)
-    n_burn = int(round(burn_in / grid.dt))
-    for _ in range(n_burn):
+    for _ in range(int(round(burn_in / grid.dt))):
         eng.step()
-    b = eng.batch
-    n = grid.n_samples
+    b, n = eng.batch, grid.n_samples
     currents = np.empty((b, n)) if store_current else None
-    click_steps: list[list[int]] = [[] for _ in range(b)]
+    clicks = [np.empty(0, dtype=int)]  # row * n + step, one array per clicking step
     atom_totals = np.zeros(b, dtype=int)
     for m in range(n):
         cur, jc, ja = eng.step()
@@ -412,12 +412,12 @@ def _run_batch(
             currents[:, m] = cur
         atom_totals += ja
         if jc.any():
-            for i in np.nonzero(jc)[0]:
-                click_steps[i].append(m)
+            clicks.append(np.flatnonzero(jc) * n + m)
+    keys = np.sort(np.concatenate(clicks))
+    times = grid.t_start + grid.dt * (keys % n + 1.0)
+    click_times = np.split(times, np.searchsorted(keys, n * np.arange(1, b)))
     out = []
     for i in range(b):
-        ts = grid.t_start + grid.dt * (np.asarray(click_steps[i], dtype=float) + 1.0)
-        counts = CountRecord(ts, grid.t_start, grid.t_end)
         rec = None
         if store_current:
             rec = PhotocurrentRecord(
@@ -429,7 +429,7 @@ def _run_batch(
         out.append(
             TrajectoryRecord(
                 traj_id=stream_ids[i],
-                counts=counts,
+                counts=CountRecord(click_times[i], grid.t_start, grid.t_end),
                 current=rec,
                 atom_jumps=int(atom_totals[i]),
             )

@@ -8,6 +8,7 @@ strict-deterministic reruns byte-identical.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,10 +16,17 @@ import numpy as np
 from .numerics import TimeGrid
 
 FLOAT_FMT = "{:.16e}"
+_CURRENT_ROW = "{}" + FLOAT_FMT + "\n"
 
 
 def _fmt(v: float) -> str:
     return FLOAT_FMT.format(float(v))
+
+
+@functools.lru_cache(maxsize=4)
+def _time_column(t_start: float, dt: float, n_samples: int) -> tuple[str, ...]:
+    """The 't,' prefixes of a current file; all records of a run share one grid."""
+    return tuple(_fmt(t) + "," for t in TimeGrid(t_start, dt, n_samples).times)
 
 
 @dataclass
@@ -105,8 +113,7 @@ def save_count_record(path, rec: CountRecord) -> None:
     """'#' header (window plus any meta), then one timestamp per line."""
     with open(path, "w") as fh:
         _write_meta(fh, {**rec.meta, "t0": _fmt(rec.t0), "t1": _fmt(rec.t1)})
-        for t in rec.timestamps:
-            fh.write(_fmt(t) + "\n")
+        fh.write("".join(map((FLOAT_FMT + "\n").format, rec.timestamps.tolist())))
 
 
 def load_count_record(path) -> CountRecord:
@@ -134,8 +141,8 @@ def save_photocurrent(path, rec: PhotocurrentRecord) -> None:
             },
         )
         fh.write("t,i\n")
-        for t, v in zip(g.times, rec.samples):
-            fh.write(_fmt(t) + "," + _fmt(v) + "\n")
+        times = _time_column(g.t_start, g.dt, g.n_samples)
+        fh.write("".join(map(_CURRENT_ROW.format, times, rec.samples.tolist())))
 
 
 def load_photocurrent(path) -> PhotocurrentRecord:
@@ -150,10 +157,8 @@ def load_photocurrent(path) -> PhotocurrentRecord:
     bandwidth = float(meta.pop("bandwidth"))
     if lines[i] != "t,i":
         raise ValueError(f"unexpected column line {lines[i]!r}")
-    vals = np.array(
-        [float(row.split(",")[1]) for row in lines[i + 1 :] if row.strip()],
-        dtype=float,
-    )
+    # numpy parses the current strings; the time column is never converted
+    vals = np.array([row.partition(",")[2] for row in lines[i + 1 :] if row.strip()], dtype=float)
     return PhotocurrentRecord(grid, vals, bandwidth, meta=meta)
 
 

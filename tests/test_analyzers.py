@@ -522,6 +522,35 @@ class TestDominantOscillationFrequency:
         with pytest.raises(ValueError):
             dominant_oscillation_frequency(np.ones(100), 0.1)
 
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        bin_width=st.floats(0.05, 0.5),
+        bins=st.floats(8.0, 12.0),
+    )
+    def test_poisson_g2_names_no_oscillation(self, bin_width, bins):
+        # without its stderr the pencil finds noise poles on such series;
+        # fewer than 8 bins are refused for length alone
+        series = estimate_g2(_POISSON_RECORDS, max_lag=bins * bin_width, bin_width=bin_width)
+        with pytest.raises(ValueError):
+            dominant_oscillation_frequency(series.values, bin_width, stderr=series.stderr)
+
+    def test_noisy_strong_coupling_g2_keeps_its_pole(self):
+        # the g = 3 regression g2 (951 at tau = 0) with Gaussian noise of
+        # stderr 5 per sample still reads the 2.9916 Liouvillian pole
+        dt = 0.05
+        system = build_system(SystemParams(g=3.0, kappa=1.0, gamma=1.0, drive=0.1, fock_cutoff=8))
+        reg = g2_regression(system, TimeGrid(0.0, dt, 161))
+        y = reg.values[reg.lags >= 0]
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            noisy = y + rng.normal(scale=5.0, size=y.size)
+            w = dominant_oscillation_frequency(noisy, dt, stderr=np.full(y.size, 5.0))
+            assert w == pytest.approx(2.99, rel=0.1)
+
+    def test_stderr_must_match_values(self):
+        with pytest.raises(ValueError):
+            dominant_oscillation_frequency(np.ones(100), 0.1, stderr=np.ones(99))
+
     @pytest.mark.parametrize(
         "params, dt, n",
         [

@@ -36,6 +36,47 @@ FROZEN_G2_ZERO = 0.82902
 FROZEN_H_ZERO = 0.24487
 FROZEN_H_MAX = 1.07246
 FROZEN_NBAR_STRONG = 3.1629e-5  # g=3, kappa=1, gamma=1, drive=0.1
+# (params, clicks by trajectory, atom jumps, first three currents of
+# trajectories 0-2) for 12 trajectories, seed 31, jump_fraction 0.9, burn-in
+# 5, 10,000 samples at dt 0.02
+FROZEN_RECORDS = {
+    "default": (
+        DEFAULTS,
+        {
+            0: [84.46000000000001],
+            1: [16.6, 90.8, 144.20000000000002],
+            2: [50.480000000000004],
+            3: [108.66, 110.72],
+            4: [6.18, 145.44, 182.8],
+            5: [5.14, 19.04, 21.44, 45.7, 66.52],
+            6: [66.1, 82.64, 119.10000000000001, 178.68],
+            7: [4.64, 13.3, 52.76, 76.58, 132.3, 147.32],
+            8: [8.98, 29.98, 97.74000000000001],
+            10: [91.14],
+            11: [138.54],
+        },
+        [3, 7, 3, 2, 5, 2, 6, 8, 4, 5, 5, 8],
+        [
+            [-4.779230329382626, -4.263080404645902, 3.752420683503095],
+            [9.842053166897884, -2.5819662666470835, 3.668537861011888],
+            [2.171726653869355, -6.527204720600768, 3.0134746837322743],
+        ],
+    ),
+    "g3": (
+        SystemParams(g=3.0, kappa=1.0, gamma=1.0, drive=0.5, fock_cutoff=8),
+        {
+            3: [108.66, 108.76, 110.72],
+            4: [6.18],
+            8: [8.98, 97.74000000000001, 99.36, 99.42, 100.26],
+        },
+        [3, 6, 3, 2, 4, 2, 6, 7, 5, 5, 5, 10],
+        [
+            [-4.831231159625512, -4.314779962189346, 3.7009948114086497],
+            [9.780662679295357, -2.6436307769535836, 3.6071895711125097],
+            [2.126490632152404, -6.5721752910628215, 2.968851389013334],
+        ],
+    ),
+}
 
 
 def _vec(rho):
@@ -293,38 +334,73 @@ class TestUnraveling:
         assert rec.counts.n_events == 0
 
     def test_step_matches_dense_products(self):
-        # the engine gathers a and sm rows and rescales on real views; that
-        # must give the bits of the plain dense update, jumps included
-        system = build_system(SystemParams(g=0.75, kappa=1.0, gamma=1.0, drive=0.5, fock_cutoff=14))
-        eng = _EnsembleEngine(system, 0.02, 0.9, 0.3, 2024, list(range(64)))
+        # the engine steps with one real product on the interleaved view and
+        # diagonal jump weights; that is the plain dense update up to rounding
+        p = SystemParams(g=0.75, kappa=1.0, gamma=1.0, drive=0.5, fock_cutoff=14)
+        system = build_system(p)
+        dt, fraction, theta = 0.02, 0.9, 0.3
+        eng = _EnsembleEngine(system, dt, fraction, theta, 2024, list(range(64)))
         eng._refill()
         rng = np.random.default_rng(5)
         psi = rng.normal(size=(64, system.dim)) + 1j * rng.normal(size=(64, system.dim))
         eng.psi = psi / np.linalg.norm(psi, axis=1)[:, None]
-        c = eng.hom_amp * np.exp(-1j * eng.theta)
+        a, sm = system.a, system.sm
+        gen = -1j * system.hamiltonian - 0.5 * (
+            p.kappa * a.conj().T @ a + p.gamma * sm.conj().T @ sm
+        )
+        prop_t = scipy.linalg.expm(gen * dt).T
+        half_t = scipy.linalg.expm(gen * dt / 2).T
+        hom_amp = math.sqrt((1.0 - fraction) * p.kappa)
+        c = hom_amp * np.exp(-1j * theta)
         seen_cav = seen_atom = 0
         for j in range(60):
             psi = eng.psi.copy()
-            a_psi = psi @ eng.a_t
-            sm_psi = psi @ eng.sm_t
+            a_psi = psi @ a.T
+            sm_psi = psi @ sm.T
             n_cav = np.einsum("bi,bi->b", a_psi.conj(), a_psi).real
             n_atom = np.einsum("bi,bi->b", sm_psi.conj(), sm_psi).real
-            quad = (np.exp(-1j * eng.theta) * np.einsum("bi,bi->b", psi.conj(), a_psi)).real
-            j_dt = 2.0 * eng.hom_amp * quad * eng.dt + eng.dw[:, j]
-            cav = eng.u_cav[:, j] < eng.rate_cav * n_cav * eng.dt
-            atom = (~cav) & (eng.u_atom[:, j] < eng.rate_atom * n_atom * eng.dt)
-            new = (psi + c * a_psi * j_dt[:, None]) @ eng.prop_t
-            new[cav] = ((psi[cav] @ eng.prop_half_t) @ eng.a_t) @ eng.prop_half_t
-            new[atom] = ((psi[atom] @ eng.prop_half_t) @ eng.sm_t) @ eng.prop_half_t
-            new = new / np.sqrt(np.einsum("bi,bi->b", new.conj(), new).real)[:, None]
+            quad = (np.exp(-1j * theta) * np.einsum("bi,bi->b", psi.conj(), a_psi)).real
+            j_dt = 2.0 * hom_amp * quad * dt + eng.dw[:, j]
+            cav = eng.u_cav[:, j] < fraction * p.kappa * n_cav * dt
+            atom = (~cav) & (eng.u_atom[:, j] < p.gamma * n_atom * dt)
+            new = (psi + c * a_psi * j_dt[:, None]) @ prop_t
+            new[cav] = ((psi[cav] @ half_t) @ a.T) @ half_t
+            new[atom] = ((psi[atom] @ half_t) @ sm.T) @ half_t
+            new = new / np.linalg.norm(new, axis=1)[:, None]
 
             current, jump_cav, jump_atom = eng.step()
-            assert current.tobytes() == (j_dt / eng.dt).tobytes()
             assert np.array_equal(jump_cav, cav) and np.array_equal(jump_atom, atom)
-            assert eng.psi.tobytes() == new.tobytes()
+            ref = j_dt / dt
+            assert np.abs(current - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.abs(eng.psi - new).max() <= 1e-12
             seen_cav += int(cav.sum())
             seen_atom += int(atom.sum())
         assert seen_cav > 0 and seen_atom > 0
+
+    def test_photon_number_is_number_expectation(self, default_system):
+        eng = _EnsembleEngine(default_system, 0.02, 0.5, 0.3, 7, list(range(5)))
+        for _ in range(200):
+            eng.step()
+        a_psi = eng.psi @ default_system.a.T
+        ref = np.einsum("bi,bi->b", a_psi.conj(), a_psi).real
+        assert np.allclose(eng.photon_number(), ref, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_RECORDS))
+    def test_records_frozen(self, name):
+        # values written by the earlier per-operator step (ladder gather and
+        # complex einsums) on the same seed: jumps must agree exactly, the
+        # currents to rounding
+        params, clicks, atom_jumps, currents = FROZEN_RECORDS[name]
+        grid = TimeGrid(0.0, 0.02, 10_000)
+        recs = list(
+            unravel_ensemble(
+                build_system(params), grid, 12, seed=31, jump_fraction=0.9, burn_in=5.0
+            )
+        )
+        assert {r.traj_id: r.counts.timestamps.tolist() for r in recs if r.counts.n_events} == clicks
+        assert [r.atom_jumps for r in recs] == atom_jumps
+        for rec, ref in zip(recs, currents):
+            assert np.abs(rec.current.samples[:3] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestEnsembleTransient:

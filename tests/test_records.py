@@ -5,6 +5,7 @@ import pytest
 
 from photodyne.numerics import RngStream, TimeGrid
 from photodyne.records import (
+    FLOAT_FMT,
     CountRecord,
     PhotocurrentRecord,
     load_count_record,
@@ -73,6 +74,29 @@ def test_photocurrent_round_trip(tmp_path):
     assert back.grid == rec.grid
     assert back.bandwidth == rec.bandwidth
     assert back.meta["tag"] == "rt"
+
+
+def test_files_match_row_by_row_text(tmp_path):
+    # the one-join writers and the numpy reader against the plain per-row
+    # FLOAT_FMT text and float() parse
+    grid = TimeGrid(2.0, 0.05, 300)
+    samples = RngStream(5, 0).gaussian(300) * 7.0
+    samples[:6] = [-0.0, 5e-324, 1e-310, -1.7e308, np.pi, 1.0]
+    rec = PhotocurrentRecord(grid, samples, bandwidth=3.0, meta={"tag": "rt"})
+    path = tmp_path / "current.csv"
+    save_photocurrent(path, rec)
+    rows = [FLOAT_FMT.format(t) + "," + FLOAT_FMT.format(v) for t, v in zip(grid.times, samples)]
+    head = f"# bandwidth={FLOAT_FMT.format(3.0)}\n# dt={FLOAT_FMT.format(0.05)}\n"
+    head += f"# n_samples=300\n# t_start={FLOAT_FMT.format(2.0)}\n# tag=rt\nt,i\n"
+    assert path.read_text() == head + "".join(r + "\n" for r in rows)
+    parsed = np.array([float(r.split(",")[1]) for r in rows])
+    assert load_photocurrent(path).samples.tobytes() == parsed.tobytes()
+
+    ts = np.unique(RngStream(6, 0).uniform(50)) * 10.0
+    path = tmp_path / "counts.txt"
+    save_count_record(path, CountRecord(ts, 0.0, 10.0))
+    head = f"# t0={FLOAT_FMT.format(0.0)}\n# t1={FLOAT_FMT.format(10.0)}\n"
+    assert path.read_text() == head + "".join(FLOAT_FMT.format(t) + "\n" for t in ts)
 
 
 def test_write_read_table(tmp_path):
