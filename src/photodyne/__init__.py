@@ -57,7 +57,6 @@ from .quantum import (
     liouvillian,
     steady_state,
     unravel_ensemble,
-    unravel_mixed,
 )
 from .records import (
     CountRecord,
@@ -115,7 +114,6 @@ __all__ = [
     "liouvillian",
     "steady_state",
     "unravel_ensemble",
-    "unravel_mixed",
     "CountRecord",
     "PhotocurrentRecord",
     "load_count_record",

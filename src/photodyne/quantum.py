@@ -32,7 +32,6 @@ __all__ = [
     "basis_state",
     "g2_regression",
     "h_regression",
-    "unravel_mixed",
     "unravel_ensemble",
     "ensemble_number_expectation",
 ]
@@ -158,24 +157,22 @@ def basis_state(system: System, excited: bool, n_photons: int) -> np.ndarray:
 
 
 @single_blas_thread
-def evolve_master(
-    system: System, rho0: np.ndarray, grid: TimeGrid, substeps: int = 1
-) -> np.ndarray:
-    """Density matrices at every grid time, RK4 on the flattened equation.
+def evolve_master(system: System, rho0: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Density matrices at every grid time, exact on the flattened equation.
 
-    rho0 is the state at grid.times[0]. substeps > 1 subdivides each grid
-    interval for stiff parameter sets without changing the output sampling.
+    rho0 is the state at grid.times[0]. One propagator P = exp(L grid.dt)
+    carries each sample to the next, so any grid step is exact up to
+    rounding, which grows by about 1e-16 per sample.
     """
     d = system.dim
     if rho0.shape != (d, d):
         raise ValueError("rho0 dimension mismatch")
-    lv = liouvillian(system)
+    prop = integrate_linear_ode(liouvillian(system), np.eye(d * d), grid.dt, 1)
     out = np.empty((grid.n_samples, d, d), dtype=complex)
     vec = rho0.reshape(-1).astype(complex)
     out[0] = rho0
-    h = grid.dt / substeps
     for i in range(1, grid.n_samples):
-        vec = integrate_linear_ode(lv, vec, h, substeps)
+        vec = prop @ vec
         out[i] = vec.reshape(d, d)
     return out
 
@@ -190,7 +187,7 @@ def _conditional_state(system: System, rho_ss: np.ndarray) -> tuple[np.ndarray, 
     return rho_c, nbar
 
 
-def g2_regression(system: System, tau_grid: TimeGrid, substeps: int = 1):
+def g2_regression(system: System, tau_grid: TimeGrid):
     """Normalized intensity correlation by the regression rule.
 
     The emission-conditioned state is propagated under the same generator and
@@ -204,7 +201,7 @@ def g2_regression(system: System, tau_grid: TimeGrid, substeps: int = 1):
         raise ValueError("tau_grid must start at 0")
     rho_ss = steady_state(system)
     rho_c, nbar = _conditional_state(system, rho_ss)
-    states = evolve_master(system, rho_c, tau_grid, substeps)
+    states = evolve_master(system, rho_c, tau_grid)
     num = system.a.conj().T @ system.a
     g2 = np.einsum("tij,ji->t", states, num).real / nbar
     lags = np.concatenate([-tau_grid.times[:0:-1], tau_grid.times])
@@ -216,7 +213,6 @@ def h_regression(
     system: System,
     tau_grid: TimeGrid,
     lo_phase: float | None = None,
-    substeps: int = 1,
 ):
     """Emission-conditioned quadrature evolution over the stationary value.
 
@@ -238,7 +234,7 @@ def h_regression(
     if abs(denom) < 1e-30:
         raise ArithmeticError("stationary quadrature is zero at this phase")
     rho_c, _ = _conditional_state(system, rho_ss)
-    states = evolve_master(system, rho_c, tau_grid, substeps)
+    states = evolve_master(system, rho_c, tau_grid)
     vals = np.einsum("tij,ji->t", states, quad).real / denom
     return CorrelationSeries(
         lags=tau_grid.times.copy(),
@@ -307,15 +303,14 @@ class _EnsembleEngine:
         self.dt = dt
         d = system.dim
         a, sm = system.a, system.sm
-        # exact one-step propagator for the no-jump generator; the Euler
-        # alternative leaves an O(dt) bias that dominates tight ensemble
-        # averages long before sampling noise does
+        # exact propagators exp(G dt) and exp(G dt / 2) of the no-jump
+        # generator; an Euler step would leave an O(dt) bias that dominates
+        # tight ensemble averages long before sampling noise does
         gen = -1j * system.hamiltonian - 0.5 * (
             p.kappa * a.conj().T @ a + p.gamma * sm.conj().T @ sm
         )
-        prop_t = integrate_linear_ode(gen, np.eye(d, dtype=complex), dt / 64.0, 64).T
-        half = integrate_linear_ode(gen, np.eye(d, dtype=complex), dt / 128.0, 64)
-        self.prop_half_t = half.T.copy()
+        prop_t = integrate_linear_ode(gen, np.eye(d), dt, 1).T
+        self.prop_half_t = integrate_linear_ode(gen, np.eye(d), dt / 2.0, 1).T.copy()
         self.a_t = a.T.copy()
         self.sm_t = sm.T.copy()
         hom_amp = math.sqrt((1.0 - jump_fraction) * p.kappa)
@@ -472,30 +467,6 @@ def unravel_ensemble(
             system, grid, seed, ids, jump_fraction, theta, burn_in, store_current
         )
         done += b
-
-
-def unravel_mixed(
-    system: System,
-    grid: TimeGrid,
-    seed: int,
-    jump_fraction: float = 0.5,
-    lo_phase: float | None = None,
-    burn_in: float = 25.0,
-    stream_id: int = 0,
-) -> TrajectoryRecord:
-    """Single trajectory; identical to the matching ensemble member."""
-    return next(
-        unravel_ensemble(
-            system,
-            grid,
-            1,
-            seed,
-            jump_fraction,
-            lo_phase,
-            burn_in,
-            first_stream=stream_id,
-        )
-    )
 
 
 @single_blas_thread

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import photodyne
 from photodyne.cli import main
 from photodyne.config import (
     ENV_OUTDIR,
@@ -463,3 +467,26 @@ class TestVersionFlag:
             main(["--version"])
         assert exc.value.code == 0
         assert "photodyne" in capsys.readouterr().out
+
+
+def test_runtime_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test extra
+    src = Path(photodyne.__file__).resolve().parent.parent
+    code = (
+        "import sys, photodyne, photodyne.cli\n"
+        "try:\n"
+        "    photodyne.cli.main(['--version'])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert f"photodyne {photodyne.__version__}" in out.stdout
+    assert out.stdout.splitlines()[-1] == "[]"

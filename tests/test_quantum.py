@@ -26,7 +26,6 @@ from photodyne.quantum import (
     liouvillian,
     steady_state,
     unravel_ensemble,
-    unravel_mixed,
 )
 from photodyne.quantum import _EnsembleEngine
 
@@ -199,7 +198,7 @@ class TestEvolveMaster:
         rho0 = np.zeros((d, d), dtype=complex)
         rho0[0, 0] = 1.0
         grid = TimeGrid(0.0, 0.5, 81)  # T = 40 >> 1/kappa
-        states = evolve_master(default_system, rho0, grid, substeps=25)
+        states = evolve_master(default_system, rho0, grid)
         assert np.abs(states[-1] - default_steady).max() < 1e-8
 
     def test_matches_expm_route(self, default_system):
@@ -208,10 +207,10 @@ class TestEvolveMaster:
         rho0[0, 1] = rho0[1, 0] = 0.5
         rho0[0, 0] = rho0[1, 1] = 0.5
         grid = TimeGrid(0.0, 0.02, 101)
-        states = evolve_master(default_system, rho0, grid, substeps=2)
+        states = evolve_master(default_system, rho0, grid)
         L = liouvillian(default_system)
         ref = _unvec(scipy.linalg.expm(L * 2.0) @ _vec(rho0), d)
-        assert np.abs(states[-1] - ref).max() < 1e-9
+        assert np.abs(states[-1] - ref).max() < 1e-12
 
 
 class TestRegression:
@@ -262,13 +261,47 @@ class TestRegression:
         series = h_regression(default_system, TimeGrid(0.0, 0.02, 11))
         assert series.meta["lo_phase"] == pytest.approx(-math.pi / 2.0, abs=1e-9)
 
+    @pytest.mark.parametrize("curve", ["g2_strong", "h_default"])
+    def test_matches_expm_oracle(self, curve):
+        # both curves are Tr(op exp(L tau) rho_c) / Tr(op rho_ss); checked at
+        # 17 lags spread over the curve, each from its own scipy exponential
+        if curve == "g2_strong":
+            system = build_system(SystemParams(3.0, 1.0, 1.0, 0.1, 8))
+            grid = TimeGrid(0.0, 0.01, 1601)
+            values = g2_regression(system, grid).values[-grid.n_samples :]
+            op = system.a.conj().T @ system.a
+        else:
+            system = build_system(DEFAULTS)
+            grid = TimeGrid(0.0, 0.005, 2401)
+            series = h_regression(system, grid)
+            values, phase = series.values, np.exp(1j * series.meta["lo_phase"])
+            op = 0.5 * (system.a / phase + system.a.conj().T * phase)
+        a, d = system.a, system.dim
+        rho_ss = steady_state(system)
+        rho_c = a @ rho_ss @ a.conj().T
+        rho_c /= np.trace(rho_c)
+        L = liouvillian(system)
+        for k in np.linspace(0, grid.n_samples - 1, 17).astype(int):
+            rho = _unvec(scipy.linalg.expm(L * grid.times[k]) @ _vec(rho_c), d)
+            ref = expectation(op, rho).real / expectation(op, rho_ss).real
+            assert abs(values[k] - ref) < 1e-9
+
+    @pytest.mark.parametrize("dt", [0.2, 0.25])
+    def test_coarse_grid_matches_fine_grid(self, dt):
+        system = build_system(SystemParams(3.0, 1.0, 1.0, 0.1, 8))
+        n = int(round(8.0 / dt)) + 1
+        coarse = g2_regression(system, TimeGrid(0.0, dt, n)).values[-n:]
+        fine = g2_regression(system, TimeGrid(0.0, 0.005, 1601)).values[-1601:]
+        stride = int(round(dt / 0.005))
+        assert np.abs(coarse - fine[::stride]).max() < 1e-9
+
 
 class TestUnraveling:
     def test_replay_and_stream_separation(self, default_system):
         grid = TimeGrid(0.0, 0.02, 2000)
-        rec1 = unravel_mixed(default_system, grid, seed=314, stream_id=2)
-        rec2 = unravel_mixed(default_system, grid, seed=314, stream_id=2)
-        rec3 = unravel_mixed(default_system, grid, seed=314, stream_id=3)
+        rec1 = next(unravel_ensemble(default_system, grid, 1, 314, first_stream=2))
+        rec2 = next(unravel_ensemble(default_system, grid, 1, 314, first_stream=2))
+        rec3 = next(unravel_ensemble(default_system, grid, 1, 314, first_stream=3))
         assert np.array_equal(rec1.counts.timestamps, rec2.counts.timestamps)
         assert np.array_equal(rec1.current.samples, rec2.current.samples)
         assert not np.array_equal(rec1.current.samples, rec3.current.samples)
@@ -293,7 +326,7 @@ class TestUnraveling:
 
     def test_counts_live_on_the_grid_window(self, default_system):
         grid = TimeGrid(0.0, 0.02, 3000)
-        rec = unravel_mixed(default_system, grid, seed=11)
+        rec = next(unravel_ensemble(default_system, grid, 1, 11, first_stream=0))
         ts = rec.counts.timestamps
         assert rec.counts.t0 == pytest.approx(grid.t_start)
         assert rec.counts.t1 == pytest.approx(grid.t_end)
@@ -302,7 +335,7 @@ class TestUnraveling:
 
     def test_current_record_shape(self, default_system):
         grid = TimeGrid(0.0, 0.02, 1000)
-        rec = unravel_mixed(default_system, grid, seed=12)
+        rec = next(unravel_ensemble(default_system, grid, 1, 12, first_stream=0))
         assert rec.current.grid == grid
         assert rec.current.bandwidth == pytest.approx(0.5 / grid.dt)
 
@@ -330,7 +363,9 @@ class TestUnraveling:
 
     def test_zero_fraction_records_nothing(self, default_system):
         grid = TimeGrid(0.0, 0.02, 2000)
-        rec = unravel_mixed(default_system, grid, seed=15, jump_fraction=0.0)
+        rec = next(
+            unravel_ensemble(default_system, grid, 1, 15, jump_fraction=0.0, first_stream=0)
+        )
         assert rec.counts.n_events == 0
 
     def test_step_matches_dense_products(self):
