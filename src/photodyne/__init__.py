@@ -37,9 +37,7 @@ from .fields import (
     FieldPath,
     LocalOscillator,
     generate_path,
-    load_field_path,
     mix_with_local_oscillator,
-    save_field_path,
     split_beam,
 )
 from .numerics import RngStream, TimeGrid
@@ -95,9 +93,7 @@ __all__ = [
     "FieldPath",
     "LocalOscillator",
     "generate_path",
-    "load_field_path",
     "mix_with_local_oscillator",
-    "save_field_path",
     "split_beam",
     "RngStream",
     "TimeGrid",

@@ -137,36 +137,44 @@ class AuditReport:
 
 
 def _iter_pairs(records):
-    """Yield (CountRecord, PhotocurrentRecord) pairs without materializing
-    an iterable input, so trajectory generators stream through."""
-    if isinstance(records, tuple) and len(records) == 2 and isinstance(
-        records[0], CountRecord
-    ):
-        yield records
-        return
-    if hasattr(records, "counts") and hasattr(records, "current"):
-        yield records.counts, records.current
-        return
-    for item in records:
-        if hasattr(item, "counts") and hasattr(item, "current"):
-            yield item.counts, item.current
+    """Yield (CountRecord, PhotocurrentRecord or None) per record, for the
+    shapes estimate_g2 lists, without materializing an iterable input, so
+    trajectory generators stream through."""
+    single = isinstance(records, CountRecord) or hasattr(records, "counts") or (
+        isinstance(records, tuple) and len(records) == 2 and isinstance(records[1], PhotocurrentRecord)
+    )
+    for item in (records,) if single else records:
+        if isinstance(item, CountRecord):
+            yield item, None
+        elif hasattr(item, "counts"):
+            yield item.counts, getattr(item, "current", None)
         else:
             c, p = item
             yield c, p
 
 
-def _lag_pooling(k: int, m: int):
-    """Partition fine lags -k..k into coarse bins of m samples, edges at 0.
+def _bin_samples(bin_width: float | None, dt: float) -> int:
+    """Samples per lag bin: bin_width rounded to a multiple of dt, at least 1."""
+    return 1 if bin_width is None else max(1, int(round(bin_width / dt)))
 
-    Returns (starts, lengths, centers): reduceat boundaries into the fine
-    window, samples per bin, and bin-center lags in sample units.
+
+def _lag_bins(halfwidth: float, bin_width: float | None, dt: float):
+    """Lag bins of trigger-centered segments: sample offsets -k..k, with
+    k = halfwidth / dt rounded, pooled into bins of _bin_samples with edges
+    at lag 0.
+
+    Returns (k, starts, lengths, lags): reduceat boundaries into the
+    offsets, samples per bin, and bin-center lags.
     """
+    k = int(round(halfwidth / dt))
+    if k < 1:
+        raise ValueError("halfwidth must cover at least one sample")
+    m = _bin_samples(bin_width, dt)
     fine = np.arange(-k, k + 1)
     bins = np.floor_divide(fine, m)
     starts = np.flatnonzero(np.diff(bins, prepend=bins[0] - 1))
     lengths = np.diff(starts, append=fine.size)
-    centers = (bins[starts] + 0.5) * m
-    return starts, lengths, centers
+    return k, starts, lengths, (bins[starts] + 0.5) * m * dt
 
 
 def segment_sums(
@@ -186,12 +194,7 @@ def segment_sums(
     Returns (lags, sums, sumsqs, n_used).
     """
     grid = current.grid
-    k = int(round(halfwidth / grid.dt))
-    if k < 1:
-        raise ValueError("halfwidth must cover at least one sample")
-    m = 1 if bin_width is None else max(1, int(round(bin_width / grid.dt)))
-    starts, lengths, centers_lag = _lag_pooling(k, m)
-    lags = centers_lag * grid.dt
+    k, starts, lengths, lags = _lag_bins(halfwidth, bin_width, grid.dt)
     n = grid.n_samples
     centers = np.asarray(
         np.round((np.asarray(trigger_times) - grid.t_start) / grid.dt), dtype=int
@@ -232,6 +235,8 @@ def estimate_h(
     n_samp = 0
     n_used = 0
     for counts, cur in _iter_pairs(records):
+        if cur is None:
+            raise ValueError("h needs a photocurrent with every click record")
         if dt is None:
             dt = cur.grid.dt
         elif abs(cur.grid.dt - dt) > 1e-12 * dt:
@@ -269,7 +274,7 @@ def estimate_h(
         meta={
             "n_triggers": n_used,
             "unconditional_mean": mean_unc,
-            "bin_width": dt * (1 if bin_width is None else max(1, int(round(bin_width / dt)))),
+            "bin_width": dt * _bin_samples(bin_width, dt),
         },
     )
 
@@ -280,6 +285,11 @@ def estimate_g2(
     bin_width: float,
 ) -> CorrelationSeries:
     """Normalized ordered-pair histogram of click separations.
+
+    records is one record or an iterable of records, where a record is a
+    CountRecord, a (CountRecord, PhotocurrentRecord) pair, or an object with
+    .counts (a TrajectoryRecord, say); so a TrajectoryRecord stream, a list
+    of pairs or a tuple of CountRecords all work. Only the clicks are read.
 
     For each record the pair count per lag bin is divided by the
     independent-click expectation n(n-1) * bin * (duration - lag) /
@@ -294,12 +304,6 @@ def estimate_g2(
     and on the independent-click expectation where fewer pairs were seen,
     so an empty bin keeps its null error instead of a zero one.
     """
-    if isinstance(records, CountRecord):
-        records = [records]
-    elif hasattr(records, "counts"):
-        records = [records.counts]
-    else:
-        records = [r.counts if hasattr(r, "counts") else r for r in records]
     if bin_width <= 0 or max_lag <= bin_width:
         raise ValueError("need 0 < bin_width < max_lag")
     nb = int(round(max_lag / bin_width))
@@ -308,7 +312,7 @@ def estimate_g2(
     expected = np.zeros(nb)
     n_events = 0
     duration = 0.0
-    for rec in records:
+    for rec, _ in _iter_pairs(records):
         ts = rec.timestamps
         n = ts.size
         t_span = rec.duration

@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .analyzers import (
     CorrelationSeries,
+    _lag_bins,
     audit_classical_bounds,
     dominant_oscillation_frequency,
     estimate_g2,
@@ -34,7 +35,7 @@ from .config import ConfigError, DataError, ExperimentConfig, RunManifest
 from .detection import semiclassical_record
 from .fields import FieldModel, LocalOscillator
 from .numerics import RngStream, TimeGrid
-from .quantum import SystemParams, _default_phase, build_system, unravel_ensemble
+from .quantum import SystemParams, _resolve_lo_phase, build_system, unravel_ensemble
 from .records import (
     load_count_record,
     load_photocurrent,
@@ -59,7 +60,7 @@ def _lo_phase(cfg: ExperimentConfig) -> float:
     if not cfg.lo_align:
         return cfg.lo_phase
     if cfg.source == "quantum":
-        return _default_phase(build_system(_from_config(SystemParams, cfg)))
+        return _resolve_lo_phase(build_system(_from_config(SystemParams, cfg)))
     return cfg.phase
 
 
@@ -241,8 +242,7 @@ def _oscillation_or_none(values, dt: float, stderr=None) -> float | None:
 def _cmd_analyze(args) -> int:
     indir = Path(args.indir)
     cfg, pairs = _load_run(indir)
-    counts = [c for c, _ in pairs]
-    g2 = estimate_g2(counts, cfg.max_lag, cfg.bin_width)
+    g2 = estimate_g2(pairs, cfg.max_lag, cfg.bin_width)
     h = spectrum = None
     if _current_mean_resolved(pairs):
         h = estimate_h(pairs, cfg.halfwidth, bin_width=cfg.bin_width)
@@ -264,13 +264,11 @@ def _cmd_analyze(args) -> int:
             "tau,value,stderr",
             [h.lags, h.values, h.stderr],
         )
-        sq_cols = [spectrum.frequencies, spectrum.values]
-        sq_header = "omega,value"
-        if spectrum.stderr is not None:
-            sq_cols.append(spectrum.stderr)
-            sq_header += ",stderr"
         write_table(
-            indir / "squeezing.csv", dict(spectrum.meta), sq_header, sq_cols
+            indir / "squeezing.csv",
+            dict(spectrum.meta),
+            "omega,value,stderr",
+            [spectrum.frequencies, spectrum.values, spectrum.stderr],
         )
         dip_omega, dip_value = spectrum.minimum()
     else:
@@ -324,6 +322,18 @@ def _bin_average(lags: np.ndarray, values: np.ndarray, edges: np.ndarray):
     return out
 
 
+def _pooled_exact_h(cfg: ExperimentConfig, reg: CorrelationSeries, mc: CorrelationSeries):
+    """The exact h, sampled on the record grid, pooled by sample index into
+    estimate_h's lag >= 0 bins; a bin the curve does not fully cover is nan."""
+    k, starts, lengths, lags = _lag_bins(cfg.halfwidth, cfg.bin_width, cfg.dt)
+    post = lags > 0
+    if not np.allclose(mc.lags[mc.lags >= 0], lags[post]):
+        raise DataError("h.csv lags do not match the config's lag bins")
+    fine = np.full(k + 1, np.nan)
+    fine[: min(k + 1, reg.values.size)] = reg.values[: k + 1]
+    return np.add.reduceat(fine, starts[post] - k) / lengths[post]
+
+
 def _cmd_compare(args) -> int:
     from .quantum import g2_regression, h_regression
 
@@ -344,12 +354,9 @@ def _cmd_compare(args) -> int:
     reg_g2 = g2_regression(system, tau_grid)
     reg_h = h_regression(system, tau_grid, lo_phase=theta)
 
-    def z_stats(mc: CorrelationSeries, reg: CorrelationSeries):
+    def z_stats(mc: CorrelationSeries, ref: np.ndarray):
         keep = mc.lags >= 0
-        lags, vals, errs = mc.lags[keep], mc.values[keep], mc.stderr[keep]
-        width = cfg.bin_width
-        edges = np.concatenate([lags - 0.5 * width, [lags[-1] + 0.5 * width]])
-        ref = _bin_average(reg.lags, reg.values, edges)
+        vals, errs = mc.values[keep], mc.stderr[keep]
         ok = np.isfinite(ref) & (errs > 0)
         z = np.abs(vals[ok] - ref[ok]) / errs[ok]
         return {
@@ -359,13 +366,15 @@ def _cmd_compare(args) -> int:
             "frac_within_3": float(np.mean(z <= 3.0)) if z.size else math.nan,
         }
 
+    lags, width = mc_g2.lags[mc_g2.lags >= 0], cfg.bin_width
+    edges = np.concatenate([lags - 0.5 * width, [lags[-1] + 0.5 * width]])
     mc_peak = _oscillation_or_none(mc_g2.values, cfg.bin_width, mc_g2.stderr)
     reg_peak = _oscillation_or_none(reg_g2.values[reg_g2.lags >= 0], cfg.dt)
 
     result = {
         "config_hash": cfg.config_hash(),
-        "g2": z_stats(mc_g2, reg_g2),
-        "h": z_stats(mc_h, reg_h),
+        "g2": z_stats(mc_g2, _bin_average(reg_g2.lags, reg_g2.values, edges)),
+        "h": z_stats(mc_h, _pooled_exact_h(cfg, reg_h, mc_h)),
         "g2_peak_mc": mc_peak,
         "g2_peak_regression": reg_peak,
         "g2_zero_mc": mc_g2.value_at(0.0),

@@ -9,12 +9,11 @@ damped-cosine amplitude bursts on a coherent baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import RngStream, TimeGrid, first_order_recurrence
-from .records import read_table, write_table
 
 MODEL_KINDS = ("coherent", "thermal_ou", "modulated_burst")
 BURST_SIGNS = ("positive", "symmetric")
@@ -83,7 +82,6 @@ class FieldPath:
 
     grid: TimeGrid
     envelope: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         env = np.asarray(self.envelope, dtype=complex)
@@ -161,16 +159,13 @@ def generate_path(model: FieldModel, grid: TimeGrid, stream: RngStream) -> Field
         env = _ou_path(model.mean_intensity, model.tau_c, grid, stream)
     else:
         env = _burst_path(model, grid, stream)
-    return FieldPath(grid, env, meta={"model": model.kind})
+    return FieldPath(grid, env)
 
 
 def split_beam(path: FieldPath) -> tuple[FieldPath, FieldPath]:
     """50/50 split: each output is input/sqrt(2); intensities sum exactly."""
     half = path.envelope / math.sqrt(2.0)
-    return (
-        FieldPath(path.grid, half.copy(), meta=dict(path.meta)),
-        FieldPath(path.grid, half.copy(), meta=dict(path.meta)),
-    )
+    return FieldPath(path.grid, half.copy()), FieldPath(path.grid, half.copy())
 
 
 def mix_with_local_oscillator(
@@ -185,27 +180,4 @@ def mix_with_local_oscillator(
     s = signal.envelope
     plus = (l + s) / math.sqrt(2.0)
     minus = (l - s) / math.sqrt(2.0)
-    return (
-        FieldPath(signal.grid, plus, meta=dict(signal.meta)),
-        FieldPath(signal.grid, minus, meta=dict(signal.meta)),
-    )
-
-
-def save_field_path(path_file, fp: FieldPath) -> None:
-    write_table(
-        path_file,
-        {**fp.meta, "dt": repr(fp.grid.dt), "t_start": repr(fp.grid.t_start)},
-        "t,re,im",
-        [fp.grid.times, fp.envelope.real, fp.envelope.imag],
-    )
-
-
-def load_field_path(path_file) -> FieldPath:
-    meta, header, cols = read_table(path_file)
-    if header != "t,re,im":
-        raise ValueError(f"unexpected field file header {header!r}")
-    t, re, im = cols
-    grid = TimeGrid(
-        t_start=float(meta.pop("t_start")), dt=float(meta.pop("dt")), n_samples=t.size
-    )
-    return FieldPath(grid, re + 1j * im, meta=meta)
+    return FieldPath(signal.grid, plus), FieldPath(signal.grid, minus)

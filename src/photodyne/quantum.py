@@ -8,6 +8,12 @@ Conventions, fixed package-wide:
   collapse     sqrt(kappa) a, sqrt(gamma) sm
   flattening   row-major, vec(A rho B) = kron(A, B^T) vec(rho)
   quadrature   a_theta = (a e^{-i theta} + a^dag e^{i theta}) / 2
+  LO phase     theta defaults to arg<a>_ss, which maximizes the homodyne signal
+
+Regression rule: both correlators follow the state right after a cavity
+emission, rho_c = a rho_ss a^dag / Tr(a^dag a rho_ss), and read
+Tr(op e^{L tau} rho_c) / Tr(op rho_ss), with op = a^dag a for g2(tau) and
+op = a_theta for h(tau).
 """
 from __future__ import annotations
 
@@ -177,33 +183,43 @@ def evolve_master(system: System, rho0: np.ndarray, grid: TimeGrid) -> np.ndarra
     return out
 
 
-def _conditional_state(system: System, rho_ss: np.ndarray) -> tuple[np.ndarray, float]:
-    """State right after a cavity emission, and the mean photon number."""
+def _quadrature(a: np.ndarray, theta: float) -> np.ndarray:
+    """a_theta = (a e^{-i theta} + a^dag e^{i theta}) / 2."""
+    return 0.5 * (a * np.exp(-1j * theta) + a.conj().T * np.exp(1j * theta))
+
+
+def _resolve_lo_phase(system: System, lo_phase: float | None = None, rho_ss=None) -> float:
+    """lo_phase, or arg<a>_ss when it is None; a known rho_ss saves a solve."""
+    if lo_phase is not None:
+        return float(lo_phase)
+    if rho_ss is None:
+        rho_ss = steady_state(system)
+    return float(np.angle(expectation(system.a, rho_ss)))
+
+
+def _regression(system: System, rho_ss: np.ndarray, tau_grid: TimeGrid, op: np.ndarray):
+    """Tr(op e^{L tau} rho_c) / Tr(op rho_ss) at every tau_grid time."""
+    if tau_grid.t_start != 0.0:
+        raise ValueError("tau_grid must start at 0")
     a = system.a
     nbar = expectation(a.conj().T @ a, rho_ss).real
-    if nbar <= 0:
-        raise ArithmeticError("zero cavity population; correlators undefined")
-    rho_c = a @ rho_ss @ a.conj().T / nbar
-    return rho_c, nbar
+    denom = expectation(op, rho_ss).real  # 0 for both ops when nbar is (|<a>|^2 <= nbar)
+    if abs(denom) < 1e-30:
+        raise ArithmeticError("stationary expectation of the observable is zero")
+    states = evolve_master(system, a @ rho_ss @ a.conj().T / nbar, tau_grid)
+    return np.einsum("tij,ji->t", states, op).real / denom
 
 
 def g2_regression(system: System, tau_grid: TimeGrid):
-    """Normalized intensity correlation by the regression rule.
+    """Normalized intensity correlation by the regression rule, op = a^dag a.
 
-    The emission-conditioned state is propagated under the same generator and
-    its photon number is normalized by the stationary one. The returned
-    series covers -tau_max..tau_max by even reflection; tau_grid must start
-    at 0.
+    The returned series covers -tau_max..tau_max by even reflection;
+    tau_grid must start at 0.
     """
     from .analyzers import CorrelationSeries
 
-    if tau_grid.t_start != 0.0:
-        raise ValueError("tau_grid must start at 0")
-    rho_ss = steady_state(system)
-    rho_c, nbar = _conditional_state(system, rho_ss)
-    states = evolve_master(system, rho_c, tau_grid)
     num = system.a.conj().T @ system.a
-    g2 = np.einsum("tij,ji->t", states, num).real / nbar
+    g2 = _regression(system, steady_state(system), tau_grid, num)
     lags = np.concatenate([-tau_grid.times[:0:-1], tau_grid.times])
     values = np.concatenate([g2[:0:-1], g2])
     return CorrelationSeries(lags=lags, values=values, stderr=None, normalization="g2")
@@ -214,28 +230,16 @@ def h_regression(
     tau_grid: TimeGrid,
     lo_phase: float | None = None,
 ):
-    """Emission-conditioned quadrature evolution over the stationary value.
+    """Conditioned quadrature by the regression rule, op = a_theta.
 
-    lo_phase defaults to the phase of the stationary field amplitude, which
-    maximizes the homodyne signal. Only tau >= 0 is computable here; negative
-    lags exist only in sampled records.
+    lo_phase defaults to arg<a>_ss. Only tau >= 0 is computable here;
+    negative lags exist only in sampled records.
     """
     from .analyzers import CorrelationSeries
 
-    if tau_grid.t_start != 0.0:
-        raise ValueError("tau_grid must start at 0")
     rho_ss = steady_state(system)
-    amp = expectation(system.a, rho_ss)
-    theta = float(np.angle(amp)) if lo_phase is None else float(lo_phase)
-    quad = 0.5 * (
-        system.a * np.exp(-1j * theta) + system.a.conj().T * np.exp(1j * theta)
-    )
-    denom = expectation(quad, rho_ss).real
-    if abs(denom) < 1e-30:
-        raise ArithmeticError("stationary quadrature is zero at this phase")
-    rho_c, _ = _conditional_state(system, rho_ss)
-    states = evolve_master(system, rho_c, tau_grid)
-    vals = np.einsum("tij,ji->t", states, quad).real / denom
+    theta = _resolve_lo_phase(system, lo_phase, rho_ss)
+    vals = _regression(system, rho_ss, tau_grid, _quadrature(system.a, theta))
     return CorrelationSeries(
         lags=tau_grid.times.copy(),
         values=vals,
@@ -315,11 +319,10 @@ class _EnsembleEngine:
         self.sm_t = sm.T.copy()
         hom_amp = math.sqrt((1.0 - jump_fraction) * p.kappa)
         phase = np.exp(-1j * lo_phase)
-        quad_t = 0.5 * (phase * self.a_t + np.conj(phase) * a.conj())
         self.step_mat = np.hstack([
             _realify(prop_t),
             _realify(hom_amp * phase * self.a_t @ prop_t),
-            _realify(2.0 * hom_amp * dt * quad_t),
+            _realify(2.0 * hom_amp * dt * _quadrature(a, lo_phase).T),
         ])
         self.number_w = np.repeat(np.diag(a.conj().T @ a).real, 2)
         atom_w = np.repeat(np.diag(sm.conj().T @ sm).real, 2)
@@ -432,10 +435,6 @@ def _run_batch(
     return out
 
 
-def _default_phase(system: System) -> float:
-    return float(np.angle(expectation(system.a, steady_state(system))))
-
-
 def unravel_ensemble(
     system: System,
     grid: TimeGrid,
@@ -458,7 +457,7 @@ def unravel_ensemble(
     """
     if n_traj <= 0:
         raise ValueError("n_traj must be positive")
-    theta = _default_phase(system) if lo_phase is None else float(lo_phase)
+    theta = _resolve_lo_phase(system, lo_phase)
     done = 0
     while done < n_traj:
         b = min(batch_size, n_traj - done)
@@ -485,7 +484,7 @@ def ensemble_number_expectation(
     per grid sample; the mean converges to the master-equation photon
     number as n_traj grows, and stderr is the trajectory spread / sqrt(n).
     """
-    theta = _default_phase(system) if lo_phase is None else float(lo_phase)
+    theta = _resolve_lo_phase(system, lo_phase)
     total = np.zeros(grid.n_samples)
     total2 = np.zeros(grid.n_samples)
     done = 0

@@ -173,12 +173,18 @@ def write_table(path, meta: dict, header: str, columns) -> None:
 
 
 def read_table(path) -> tuple[dict, str, list[np.ndarray]]:
+    """Inverse of write_table; refuses a file without header or rows, or with a ragged row."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     meta, i = _read_meta(lines)
+    if i == len(lines):
+        raise ValueError(f"{path}: no header line")
     header = lines[i]
-    rows = [
-        [float(x) for x in row.split(",")] for row in lines[i + 1 :] if row.strip()
-    ]
-    cols = [np.array(c, dtype=float) for c in zip(*rows)] if rows else []
-    return meta, header, cols
+    rows = [row.split(",") for row in lines[i + 1 :] if row.strip()]
+    if not rows:
+        raise ValueError(f"{path}: no rows under the header")
+    width = header.count(",") + 1
+    for n, row in enumerate(rows, 1):
+        if len(row) != width:
+            raise ValueError(f"{path}: row {n} has {len(row)} fields, the header {width}")
+    return meta, header, list(np.array(rows, dtype=float).T)

@@ -19,7 +19,14 @@ from photodyne.analyzers import (
     squeezing_spectrum,
 )
 from photodyne.numerics import RngStream, TimeGrid
-from photodyne.quantum import DEFAULTS, SystemParams, build_system, g2_regression, liouvillian
+from photodyne.quantum import (
+    DEFAULTS,
+    SystemParams,
+    TrajectoryRecord,
+    build_system,
+    g2_regression,
+    liouvillian,
+)
 from photodyne.records import CountRecord, PhotocurrentRecord
 
 
@@ -281,6 +288,34 @@ class TestEstimateG2:
         rec.counts = CountRecord(np.array([1.0, 2.0, 3.0]), 0.0, 10.0)
         series = estimate_g2(rec, max_lag=2.0, bin_width=0.5)
         assert series.meta["n_events"] == 3
+
+    @pytest.mark.parametrize(
+        "shape", ["pair", "pairs", "trajectory", "count", "count_tuple", "counts_only"]
+    )
+    def test_reads_every_shape_estimate_h_takes(self, shape):
+        # the clicks alone decide g2, whatever the records are wrapped in
+        recs = [
+            CountRecord(np.array([1.0, 1.3, 2.0, 6.0]), 0.0, 10.0),
+            CountRecord(np.array([0.5, 0.9, 1.1, 4.0]), 0.0, 10.0),
+        ]
+        cur = _current(np.ones(100))
+
+        class CountsOnly:
+            counts = recs[0]
+
+        given, same_as = {
+            "pair": ((recs[0], cur), recs[:1]),
+            "pairs": ([(r, cur) for r in recs], recs),
+            "trajectory": (TrajectoryRecord(0, recs[0], cur, 0), recs[:1]),
+            "count": (recs[0], recs[:1]),
+            "count_tuple": (tuple(recs), recs),
+            "counts_only": (CountsOnly(), recs[:1]),
+        }[shape]
+        got = estimate_g2(given, max_lag=2.0, bin_width=0.5)
+        ref = estimate_g2(same_as, max_lag=2.0, bin_width=0.5)
+        assert got.meta["n_events"] == ref.meta["n_events"]
+        assert np.array_equal(got.values, ref.values)
+        assert np.array_equal(got.stderr, ref.stderr)
 
     def test_pools_records(self):
         r1 = CountRecord(np.array([1.0, 1.2]), 0.0, 10.0)

@@ -22,8 +22,10 @@ from photodyne.config import (
 from photodyne.detection import semiclassical_record
 from photodyne.fields import FieldModel, LocalOscillator
 from photodyne.numerics import RngStream, TimeGrid
+from photodyne.quantum import DEFAULTS, build_system, h_regression
 from photodyne.records import (
     load_count_record,
+    read_table,
     save_count_record,
     save_photocurrent,
     write_table,
@@ -368,6 +370,45 @@ class TestAnalyzeCompareAudit:
         assert result["g2_peak_regression"] is None
         # the sampled g2 is flat in expectation: its noise poles are not named
         assert result["g2_peak_mc"] is None
+
+    @pytest.mark.parametrize(
+        "bin_width, max_lag", [(0.25, 8.0), (0.1, 6.0)], ids=["partial_last_bin", "edges_on_samples"]
+    )
+    def test_compare_pools_exact_h_into_estimator_bins(self, tmp_path, capsys, bin_width, max_lag):
+        # an h.csv holding the exact h, averaged over each estimator bin's
+        # samples (12 at bin 0.25, the last bin just the sample at lag 6.0;
+        # 5 at bin 0.1), must read as the regression curve itself
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(
+            QUANTUM_INI.replace("max_lag = 6.0", f"max_lag = {max_lag}")
+            .replace("bin_width = 0.5", f"bin_width = {bin_width}")
+        )
+        outdir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--outdir", str(outdir)]) == 0
+        assert main(["analyze", "--indir", str(outdir)]) == 0
+        meta, header, (lags, values, stderr) = read_table(outdir / "h.csv")
+        m = int(round(bin_width / 0.02))
+        exact = h_regression(build_system(DEFAULTS), TimeGrid(0.0, 0.02, 301)).values
+        post = lags >= 0
+        assert post.sum() == -(-exact.size // m)
+        values[post] = [exact[j * m : (j + 1) * m].mean() for j in range(post.sum())]
+        stderr[post] = 1e-9
+        write_table(outdir / "h.csv", meta, header, [lags, values, stderr])
+        assert main(["compare", "--indir", str(outdir)]) == 0
+        h = json.loads((outdir / "compare.json").read_text())["h"]
+        assert h["n_bins"] == post.sum()
+        assert h["max_abs_z"] < 1.0
+
+    @pytest.mark.parametrize("cut", ["no_header", "no_rows", "short_row"])
+    def test_truncated_series_exits_3(self, tmp_path, capsys, cut):
+        path = tmp_path / "g2.csv"
+        lags = np.array([0.25, 0.75, 1.25])
+        write_table(path, {"normalization": "g2"}, "tau,value,stderr", [lags, lags, lags])
+        lines = path.read_text().splitlines(keepends=True)
+        kept = {"no_header": lines[:1], "no_rows": lines[:2], "short_row": lines[:-1] + ["1.75,1.0\n"]}
+        path.write_text("".join(kept[cut]))
+        assert main(["audit", "--indir", str(tmp_path)]) == 3
+        assert "g2.csv" in capsys.readouterr().err
 
     def test_truncated_record_exits_3(self, quantum_run, tmp_path, capsys):
         import shutil

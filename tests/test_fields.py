@@ -10,9 +10,7 @@ from photodyne.fields import (
     FieldPath,
     LocalOscillator,
     generate_path,
-    load_field_path,
     mix_with_local_oscillator,
-    save_field_path,
     split_beam,
 )
 from photodyne.numerics import RngStream, TimeGrid
@@ -157,13 +155,3 @@ def test_mix_difference_reads_the_aligned_quadrature():
     plus, minus = mix_with_local_oscillator(sig, lo)
     diff = plus.intensity() - minus.intensity()
     assert np.allclose(diff, 2.0 * 6.0 * 0.4, rtol=1e-12)
-
-
-def test_field_path_round_trip(tmp_path):
-    grid = TimeGrid(0.5, 0.1, 300)
-    path = generate_path(FieldModel(kind="thermal_ou"), grid, RngStream(42, 0))
-    f = tmp_path / "path.csv"
-    save_field_path(f, path)
-    back = load_field_path(f)
-    assert np.array_equal(back.envelope, path.envelope)
-    assert back.grid == path.grid

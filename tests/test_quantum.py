@@ -261,7 +261,7 @@ class TestRegression:
         series = h_regression(default_system, TimeGrid(0.0, 0.02, 11))
         assert series.meta["lo_phase"] == pytest.approx(-math.pi / 2.0, abs=1e-9)
 
-    @pytest.mark.parametrize("curve", ["g2_strong", "h_default"])
+    @pytest.mark.parametrize("curve", ["g2_strong", "h_default", "h_phase_0.7"])
     def test_matches_expm_oracle(self, curve):
         # both curves are Tr(op exp(L tau) rho_c) / Tr(op rho_ss); checked at
         # 17 lags spread over the curve, each from its own scipy exponential
@@ -273,9 +273,11 @@ class TestRegression:
         else:
             system = build_system(DEFAULTS)
             grid = TimeGrid(0.0, 0.005, 2401)
-            series = h_regression(system, grid)
+            series = h_regression(system, grid, lo_phase=None if curve == "h_default" else 0.7)
             values, phase = series.values, np.exp(1j * series.meta["lo_phase"])
             op = 0.5 * (system.a / phase + system.a.conj().T * phase)
+            if curve != "h_default":
+                assert series.meta["lo_phase"] == 0.7
         a, d = system.a, system.dim
         rho_ss = steady_state(system)
         rho_c = a @ rho_ss @ a.conj().T
