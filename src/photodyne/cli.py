@@ -4,6 +4,14 @@ Subcommands: blackbody (moment comparison report), run (generate records),
 analyze (estimate correlations from records), compare (Monte Carlo against
 regression curves), audit (classical-bound verdicts on saved series).
 
+run: trajectory k draws from the random stream (seed, k). The ids are split
+into contiguous ranges of ceil(n_trajectories / workers) by the rule the
+quantum engine batches by (numerics._stream_batches). For each range,
+_records yields (traj_id, counts, current) from unravel_ensemble or
+semiclassical_record, and _write_records saves them as counts_<id>.txt and
+current_<id>.csv, in process or in a pool worker; the files do not depend on
+the worker count.
+
 Exit codes: 0 success, 2 configuration or argument error, 3 missing or
 inconsistent data or a failed computation, 4 statistically inconclusive
 result (audit cannot call a verdict, or compare has no usable bins).
@@ -34,8 +42,8 @@ from .blackbody import sample_report
 from .config import ConfigError, DataError, ExperimentConfig, RunManifest
 from .detection import semiclassical_record
 from .fields import FieldModel, LocalOscillator
-from .numerics import RngStream, TimeGrid
-from .quantum import SystemParams, _resolve_lo_phase, build_system, unravel_ensemble
+from .numerics import RngStream, TimeGrid, _stream_batches
+from .quantum import SystemParams, build_system, unravel_ensemble
 from .records import (
     load_count_record,
     load_photocurrent,
@@ -54,14 +62,13 @@ def _from_config(cls, cfg: ExperimentConfig):
     return cls(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(cls)})
 
 
-def _lo_phase(cfg: ExperimentConfig) -> float:
-    """Aligned phase: stationary-field phase for quantum runs, carrier phase
-    for semiclassical ones. Without lo_align the configured phase is used."""
+def _lo_phase(cfg: ExperimentConfig) -> float | None:
+    """The configured phase, or with lo_align the carrier phase of a
+    semiclassical run and None for a quantum one, which the quantum engine
+    and h_regression resolve to the stationary-field phase arg<a>_ss."""
     if not cfg.lo_align:
         return cfg.lo_phase
-    if cfg.source == "quantum":
-        return _resolve_lo_phase(build_system(_from_config(SystemParams, cfg)))
-    return cfg.phase
+    return None if cfg.source == "quantum" else cfg.phase
 
 
 def _traj_grid(cfg: ExperimentConfig) -> TimeGrid:
@@ -71,62 +78,36 @@ def _traj_grid(cfg: ExperimentConfig) -> TimeGrid:
     return TimeGrid(t_start=0.0, dt=cfg.dt, n_samples=n)
 
 
-def _quantum_worker(cfg_text: str, outdir: str, first: int, n: int, theta: float):
-    cfg = ExperimentConfig.from_text(cfg_text)
-    system = build_system(_from_config(SystemParams, cfg))
+def _records(cfg: ExperimentConfig, theta: float | None, ids: range):
+    """Yield (traj_id, counts, current) for the trajectories of ids."""
     grid = _traj_grid(cfg)
-    base = Path(outdir)
-    for rec in unravel_ensemble(
-        system,
-        grid,
-        n,
-        cfg.seed,
-        jump_fraction=cfg.jump_fraction,
-        lo_phase=theta,
-        burn_in=cfg.burn_in,
-        first_stream=first,
-    ):
-        save_count_record(base / _COUNTS_FMT.format(rec.traj_id), rec.counts)
-        save_photocurrent(base / _CURRENT_FMT.format(rec.traj_id), rec.current)
-    return n
-
-
-def _semiclassical_worker(cfg_text: str, outdir: str, first: int, n: int, theta: float):
-    cfg = ExperimentConfig.from_text(cfg_text)
+    if cfg.source == "quantum":
+        system = build_system(_from_config(SystemParams, cfg))
+        for rec in unravel_ensemble(system, grid, len(ids), cfg.seed, cfg.jump_fraction, theta,
+                                    cfg.burn_in, first_stream=ids.start):
+            yield rec.traj_id, rec.counts, rec.current
+        return
     model = _from_config(FieldModel, cfg)
     lo = LocalOscillator(cfg.lo_amplitude, theta)
-    grid = _traj_grid(cfg)
-    base = Path(outdir)
-    for i in range(first, first + n):
-        counts, current = semiclassical_record(
-            model,
-            lo,
-            grid,
-            RngStream(cfg.seed, i),
-            cfg.bandwidth,
-            cfg.efficiency,
-            cfg.dark_rate,
-            cfg.dead_time,
-        )
-        save_count_record(base / _COUNTS_FMT.format(i), counts)
-        save_photocurrent(base / _CURRENT_FMT.format(i), current)
-    return n
+    for i in ids:
+        yield i, *semiclassical_record(model, lo, grid, RngStream(cfg.seed, i), cfg.bandwidth,
+                                       cfg.efficiency, cfg.dark_rate, cfg.dead_time)
+
+
+def _write_records(cfg: ExperimentConfig, outdir: Path, theta: float | None, ids: range):
+    for i, counts, current in _records(cfg, theta, ids):
+        save_count_record(outdir / _COUNTS_FMT.format(i), counts)
+        save_photocurrent(outdir / _CURRENT_FMT.format(i), current)
 
 
 def _run_records(cfg: ExperimentConfig, outdir: Path) -> None:
-    theta = _lo_phase(cfg)
-    worker = _quantum_worker if cfg.source == "quantum" else _semiclassical_worker
-    cfg_text = cfg.to_text()
+    theta, n_traj = _lo_phase(cfg), cfg.n_trajectories
+    shares = _stream_batches(n_traj, math.ceil(n_traj / cfg.workers))
     if cfg.workers == 1:
-        worker(cfg_text, str(outdir), 0, cfg.n_trajectories, theta)
+        _write_records(cfg, outdir, theta, shares[0])
         return
-    n_traj = cfg.n_trajectories
-    per = math.ceil(n_traj / cfg.workers)
     with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        futures = [
-            pool.submit(worker, cfg_text, str(outdir), first, min(per, n_traj - first), theta)
-            for first in range(0, n_traj, per)
-        ]
+        futures = [pool.submit(_write_records, cfg, outdir, theta, ids) for ids in shares]
         for f in futures:
             f.result()
 
@@ -242,47 +223,49 @@ def _oscillation_or_none(values, dt: float, stderr=None) -> float | None:
 def _cmd_analyze(args) -> int:
     indir = Path(args.indir)
     cfg, pairs = _load_run(indir)
-    g2 = estimate_g2(pairs, cfg.max_lag, cfg.bin_width)
-    h = spectrum = None
+    g2 = h = spectrum = None
+    if any(counts.n_events >= 2 for counts, _ in pairs):
+        g2 = estimate_g2(pairs, cfg.max_lag, cfg.bin_width)
     if _current_mean_resolved(pairs):
         h = estimate_h(pairs, cfg.halfwidth, bin_width=cfg.bin_width)
         top = cfg.max_frequency if cfg.max_frequency > 0 else 0.5 * math.pi / cfg.bin_width
         spectrum = squeezing_spectrum(h, np.linspace(0.0, top, cfg.n_frequencies))
     report_audit = audit_classical_bounds(g2, h)
-    g2_peak = _oscillation_or_none(g2.values, cfg.bin_width, g2.stderr)
-
-    write_table(
-        indir / "g2.csv",
-        {"normalization": "g2", "n_events": g2.meta["n_events"]},
-        "tau,value,stderr",
-        [g2.lags, g2.values, g2.stderr],
-    )
+    n_events = sum(counts.n_events for counts, _ in pairs)
+    g2_peak = dip_omega = dip_value = None
+    tables = dict.fromkeys(("g2.csv", "h.csv", "squeezing.csv"))
+    if g2 is not None:
+        g2_peak = _oscillation_or_none(g2.values, cfg.bin_width, g2.stderr)
+        tables["g2.csv"] = (
+            {"normalization": "g2", "n_events": n_events},
+            "tau,value,stderr",
+            [g2.lags, g2.values, g2.stderr],
+        )
     if h is not None:
-        write_table(
-            indir / "h.csv",
+        tables["h.csv"] = (
             {"normalization": "h", "n_triggers": h.meta["n_triggers"]},
             "tau,value,stderr",
             [h.lags, h.values, h.stderr],
         )
-        write_table(
-            indir / "squeezing.csv",
+        tables["squeezing.csv"] = (
             dict(spectrum.meta),
             "omega,value,stderr",
             [spectrum.frequencies, spectrum.values, spectrum.stderr],
         )
         dip_omega, dip_value = spectrum.minimum()
-    else:
-        dip_omega = dip_value = None
-        for name in ("h.csv", "squeezing.csv"):  # a previous run's
-            (indir / name).unlink(missing_ok=True)
+    for name, table in tables.items():
+        if table is None:
+            (indir / name).unlink(missing_ok=True)  # a previous run's
+        else:
+            write_table(indir / name, *table)
     report = {
         "config_hash": cfg.config_hash(),
         "source": cfg.source,
         "n_records": len(pairs),
-        "n_events": int(g2.meta["n_events"]),
+        "n_events": n_events,
         "n_triggers": int(h.meta["n_triggers"]) if h is not None else None,
-        "g2_zero": g2.value_at(0.0),
-        "g2_zero_stderr": float(g2.stderr[0]),
+        "g2_zero": g2.value_at(0.0) if g2 is not None else None,
+        "g2_zero_stderr": float(g2.stderr[0]) if g2 is not None else None,
         "h_min": float(h.values.min()) if h is not None else None,
         "h_max": float(h.values.max()) if h is not None else None,
         "squeezing_dip_omega": dip_omega,
@@ -300,10 +283,11 @@ def _cmd_analyze(args) -> int:
     print(f"analyzed {len(pairs)} records, {report['n_events']} events")
     if h is None:
         print("mean current consistent with zero; h and squeezing skipped")
-    print(
-        f"g2(0) = {report['g2_zero']:.4f} +- {report['g2_zero_stderr']:.4f}, "
-        f"audit: {report_audit.overall}"
+    g2_line = (
+        "no record holds two clicks; g2 skipped" if g2 is None
+        else f"g2(0) = {report['g2_zero']:.4f} +- {report['g2_zero_stderr']:.4f}"
     )
+    print(f"{g2_line}, audit: {report_audit.overall}")
     print(f"wrote {indir / 'report.json'}")
     return 0
 
@@ -313,13 +297,18 @@ def _read_series(path: Path, normalization: str) -> CorrelationSeries:
     return CorrelationSeries(cols[0], cols[1], cols[2], normalization)
 
 
-def _bin_average(lags: np.ndarray, values: np.ndarray, edges: np.ndarray):
-    """Mean of (lags, values) inside each [edges[i], edges[i+1]) bin."""
-    out = np.empty(edges.size - 1)
-    for i in range(out.size):
-        m = (lags >= edges[i]) & (lags < edges[i + 1])
-        out[i] = values[m].mean() if m.any() else np.nan
-    return out
+def _bin_means(reg: CorrelationSeries, n_bins: int, width: float) -> np.ndarray:
+    """The exact curve's mean over each estimate_g2 bin [i width, (i+1) width):
+    a cumulative trapezoid on the curve's lag >= 0 grid, read at the bin
+    edges by linear interpolation; a bin the grid does not reach, beyond
+    rounding, is nan."""
+    keep = reg.lags >= 0
+    tau, vals = reg.lags[keep], reg.values[keep]
+    area = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(tau))])
+    edges = width * np.arange(n_bins + 1)
+    at_edges = np.interp(edges, tau, area)
+    at_edges[edges > tau[-1] + 1e-9 * width] = np.nan
+    return np.diff(at_edges) / width
 
 
 def _pooled_exact_h(cfg: ExperimentConfig, reg: CorrelationSeries, mc: CorrelationSeries):
@@ -350,9 +339,8 @@ def _cmd_compare(args) -> int:
     system = build_system(_from_config(SystemParams, cfg))
     n_tau = int(round(cfg.max_lag / cfg.dt)) + 1
     tau_grid = TimeGrid(t_start=0.0, dt=cfg.dt, n_samples=n_tau)
-    theta = _lo_phase(cfg)
     reg_g2 = g2_regression(system, tau_grid)
-    reg_h = h_regression(system, tau_grid, lo_phase=theta)
+    reg_h = h_regression(system, tau_grid, lo_phase=_lo_phase(cfg))
 
     def z_stats(mc: CorrelationSeries, ref: np.ndarray):
         keep = mc.lags >= 0
@@ -366,14 +354,12 @@ def _cmd_compare(args) -> int:
             "frac_within_3": float(np.mean(z <= 3.0)) if z.size else math.nan,
         }
 
-    lags, width = mc_g2.lags[mc_g2.lags >= 0], cfg.bin_width
-    edges = np.concatenate([lags - 0.5 * width, [lags[-1] + 0.5 * width]])
     mc_peak = _oscillation_or_none(mc_g2.values, cfg.bin_width, mc_g2.stderr)
     reg_peak = _oscillation_or_none(reg_g2.values[reg_g2.lags >= 0], cfg.dt)
 
     result = {
         "config_hash": cfg.config_hash(),
-        "g2": z_stats(mc_g2, _bin_average(reg_g2.lags, reg_g2.values, edges)),
+        "g2": z_stats(mc_g2, _bin_means(reg_g2, int((mc_g2.lags >= 0).sum()), cfg.bin_width)),
         "h": z_stats(mc_h, _pooled_exact_h(cfg, reg_h, mc_h)),
         "g2_peak_mc": mc_peak,
         "g2_peak_regression": reg_peak,

@@ -95,13 +95,6 @@ class TimeGrid:
     def duration(self) -> float:
         return self.dt * self.n_samples
 
-    def index_of(self, t: float) -> int:
-        """Nearest sample index; raises if t falls outside the grid."""
-        i = int(round((t - self.t_start) / self.dt))
-        if i < 0 or i >= self.n_samples:
-            raise ValueError(f"t={t} outside grid [{self.t_start}, {self.t_end})")
-        return i
-
 
 class RngStream:
     """Counter-based random stream keyed by (seed, stream_id).
@@ -139,6 +132,16 @@ class RngStream:
         if mean <= 0:
             raise ValueError("exponential mean must be positive")
         return self._gen.exponential(mean) if n is None else self._gen.exponential(mean, n)
+
+
+def _stream_batches(n_traj: int, batch_size: int, first_stream: int = 0) -> list[range]:
+    """Stream ids first_stream .. first_stream + n_traj - 1 in contiguous
+    ranges of at most batch_size. Trajectory k owns stream first_stream + k
+    whatever the batching, so engine batches and worker shares replay alike."""
+    if n_traj <= 0 or batch_size <= 0:
+        raise ValueError("n_traj and batch_size must be positive")
+    end = first_stream + n_traj
+    return [range(s, min(s + batch_size, end)) for s in range(first_stream, end, batch_size)]
 
 
 def first_order_recurrence(a: float, drive, y0: complex = 0.0) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import RngStream, TimeGrid, integrate_linear_ode, single_blas_thread
+from .numerics import RngStream, TimeGrid, _stream_batches, integrate_linear_ode, single_blas_thread
 from .records import CountRecord, PhotocurrentRecord
 
 __all__ = [
@@ -299,7 +299,7 @@ class _EnsembleEngine:
         jump_fraction: float,
         lo_phase: float,
         seed: int,
-        stream_ids: list[int],
+        stream_ids: range,
     ):
         if not 0.0 <= jump_fraction <= 1.0:
             raise ValueError("jump_fraction must be inside [0, 1]")
@@ -391,7 +391,7 @@ def _run_batch(
     system: System,
     grid: TimeGrid,
     seed: int,
-    stream_ids: list[int],
+    stream_ids: range,
     jump_fraction: float,
     lo_phase: float,
     burn_in: float,
@@ -455,17 +455,12 @@ def unravel_ensemble(
     False keeps only click records; the diffusion noise is still consumed,
     so the trajectories are identical either way.
     """
-    if n_traj <= 0:
-        raise ValueError("n_traj must be positive")
+    batches = _stream_batches(n_traj, batch_size, first_stream)
     theta = _resolve_lo_phase(system, lo_phase)
-    done = 0
-    while done < n_traj:
-        b = min(batch_size, n_traj - done)
-        ids = [first_stream + done + i for i in range(b)]
+    for ids in batches:
         yield from _run_batch(
             system, grid, seed, ids, jump_fraction, theta, burn_in, store_current
         )
-        done += b
 
 
 @single_blas_thread
@@ -484,23 +479,18 @@ def ensemble_number_expectation(
     per grid sample; the mean converges to the master-equation photon
     number as n_traj grows, and stderr is the trajectory spread / sqrt(n).
     """
+    batches = _stream_batches(n_traj, batch_size)
     theta = _resolve_lo_phase(system, lo_phase)
     total = np.zeros(grid.n_samples)
     total2 = np.zeros(grid.n_samples)
-    done = 0
-    while done < n_traj:
-        b = min(batch_size, n_traj - done)
-        ids = list(range(done, done + b))
+    for ids in batches:
         eng = _EnsembleEngine(system, grid.dt, jump_fraction, theta, seed, ids)
-        vals = eng.photon_number()
-        total[0] += vals.sum()
-        total2[0] += (vals * vals).sum()
-        for m in range(1, grid.n_samples):
-            eng.step()
+        for m in range(grid.n_samples):
+            if m:
+                eng.step()
             vals = eng.photon_number()
             total[m] += vals.sum()
             total2[m] += (vals * vals).sum()
-        done += b
     mean = total / n_traj
     var = np.maximum(total2 / n_traj - mean * mean, 0.0)
     return mean, np.sqrt(var / n_traj)

@@ -5,6 +5,10 @@ source-agnostic: CountRecord (photoelectron timestamps) and
 PhotocurrentRecord (uniformly sampled difference current). Files are plain
 text with '#' metadata headers and 17-significant-digit floats, which makes
 strict-deterministic reruns byte-identical.
+
+One reader, _read_text, opens and parses every record and series file. A
+count file's header must hold t0 and t1, a current file's t_start, dt,
+n_samples and bandwidth; a missing key is a ValueError naming file and key.
 """
 from __future__ import annotations
 
@@ -57,12 +61,6 @@ class CountRecord:
     def duration(self) -> float:
         return self.t1 - self.t0
 
-    def rate(self) -> float:
-        """Empirical singles rate n/T."""
-        if self.duration <= 0:
-            raise ValueError("zero-length window has no rate")
-        return self.n_events / self.duration
-
 
 @dataclass
 class PhotocurrentRecord:
@@ -97,16 +95,22 @@ def _write_meta(fh, meta: dict) -> None:
         fh.write(f"# {k}={meta[k]}\n")
 
 
-def _read_meta(lines: list[str]) -> tuple[dict, int]:
+def _read_text(path, *required: str) -> tuple[dict, list[str]]:
+    """The '#' key=value header of a file, which must hold every required
+    key, and the non-blank lines below it."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     meta: dict = {}
     i = 0
     while i < len(lines) and lines[i].startswith("#"):
-        body = lines[i][1:].strip()
-        if "=" in body:
-            k, v = body.split("=", 1)
+        k, eq, v = lines[i][1:].partition("=")
+        if eq:
             meta[k.strip()] = v.strip()
         i += 1
-    return meta, i
+    for key in required:
+        if key not in meta:
+            raise ValueError(f"{path}: header has no '{key}=' line")
+    return meta, list(filter(str.strip, lines[i:]))
 
 
 def save_count_record(path, rec: CountRecord) -> None:
@@ -117,13 +121,10 @@ def save_count_record(path, rec: CountRecord) -> None:
 
 
 def load_count_record(path) -> CountRecord:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    meta, i = _read_meta(lines)
+    meta, rows = _read_text(path, "t0", "t1")
     t0 = float(meta.pop("t0"))
     t1 = float(meta.pop("t1"))
-    ts = np.array([float(x) for x in lines[i:] if x.strip()], dtype=float)
-    return CountRecord(ts, t0, t1, meta=meta)
+    return CountRecord(np.array([float(x) for x in rows], dtype=float), t0, t1, meta=meta)
 
 
 def save_photocurrent(path, rec: PhotocurrentRecord) -> None:
@@ -146,19 +147,17 @@ def save_photocurrent(path, rec: PhotocurrentRecord) -> None:
 
 
 def load_photocurrent(path) -> PhotocurrentRecord:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    meta, i = _read_meta(lines)
+    meta, rows = _read_text(path, "t_start", "dt", "n_samples", "bandwidth")
     grid = TimeGrid(
         t_start=float(meta.pop("t_start")),
         dt=float(meta.pop("dt")),
         n_samples=int(meta.pop("n_samples")),
     )
     bandwidth = float(meta.pop("bandwidth"))
-    if lines[i] != "t,i":
-        raise ValueError(f"unexpected column line {lines[i]!r}")
+    if not rows or rows[0] != "t,i":
+        raise ValueError(f"{path}: no 't,i' column line under the header")
     # numpy parses the current strings; the time column is never converted
-    vals = np.array([row.partition(",")[2] for row in lines[i + 1 :] if row.strip()], dtype=float)
+    vals = np.array([row.partition(",")[2] for row in rows[1:]], dtype=float)
     return PhotocurrentRecord(grid, vals, bandwidth, meta=meta)
 
 
@@ -174,13 +173,11 @@ def write_table(path, meta: dict, header: str, columns) -> None:
 
 def read_table(path) -> tuple[dict, str, list[np.ndarray]]:
     """Inverse of write_table; refuses a file without header or rows, or with a ragged row."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    meta, i = _read_meta(lines)
-    if i == len(lines):
+    meta, lines = _read_text(path)
+    if not lines:
         raise ValueError(f"{path}: no header line")
-    header = lines[i]
-    rows = [row.split(",") for row in lines[i + 1 :] if row.strip()]
+    header = lines[0]
+    rows = [row.split(",") for row in lines[1:]]
     if not rows:
         raise ValueError(f"{path}: no rows under the header")
     width = header.count(",") + 1

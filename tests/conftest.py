@@ -10,6 +10,14 @@ def record_criterion(line: str) -> None:
     _criterion_lines.append(line)
 
 
+def pytest_collection_modifyitems(config, items):
+    """Mark the criteria of test_acceptance.py, so that -m "not acceptance"
+    runs every other test in well under a minute."""
+    for item in items:
+        if item.path.name == "test_acceptance.py":
+            item.add_marker(pytest.mark.acceptance)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if _criterion_lines:
         terminalreporter.section("acceptance criteria")

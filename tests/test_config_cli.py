@@ -22,7 +22,7 @@ from photodyne.config import (
 from photodyne.detection import semiclassical_record
 from photodyne.fields import FieldModel, LocalOscillator
 from photodyne.numerics import RngStream, TimeGrid
-from photodyne.quantum import DEFAULTS, build_system, h_regression
+from photodyne.quantum import DEFAULTS, build_system, g2_regression, h_regression
 from photodyne.records import (
     load_count_record,
     read_table,
@@ -399,6 +399,66 @@ class TestAnalyzeCompareAudit:
         assert h["n_bins"] == post.sum()
         assert h["max_abs_z"] < 1.0
 
+    @pytest.mark.parametrize("bin_width", [0.1, 0.25])
+    def test_compare_takes_exact_g2_bin_means(self, tmp_path, capsys, bin_width):
+        # a g2.csv holding the exact g2's mean over each estimator bin
+        # [i w, (i+1) w), from a trapezoid at dt 0.0005, must read as the
+        # regression curve itself when compare works on the run's dt 0.02
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(QUANTUM_INI.replace("bin_width = 0.5", f"bin_width = {bin_width}"))
+        outdir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--outdir", str(outdir)]) == 0
+        assert main(["analyze", "--indir", str(outdir)]) == 0
+        meta, header, (lags, values, stderr) = read_table(outdir / "g2.csv")
+        fine = g2_regression(build_system(DEFAULTS), TimeGrid(0.0, 0.0005, 12001))
+        exact = fine.values[fine.lags >= 0]
+        area = np.concatenate([[0.0], np.cumsum(0.5 * (exact[1:] + exact[:-1]) * 0.0005)])
+        m = int(round(bin_width / 0.0005))
+        assert lags.size == 6.0 / bin_width
+        values[:] = (area[m :: m] - area[: -m : m]) / bin_width
+        stderr[:] = 1e-4
+        write_table(outdir / "g2.csv", meta, header, [lags, values, stderr])
+        assert main(["compare", "--indir", str(outdir)]) == 0
+        g2 = json.loads((outdir / "compare.json").read_text())["g2"]
+        assert g2["n_bins"] == lags.size
+        assert g2["max_abs_z"] < 1.0
+
+    def test_analyze_without_click_pairs_skips_g2(self, tmp_path, capsys):
+        # 4 records with 3 clicks, none holding two: no pair, so no g2,
+        # but every click still triggers h
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(QUANTUM_INI.replace("n_trajectories = 16", "n_trajectories = 4"))
+        outdir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--outdir", str(outdir)]) == 0
+        (outdir / "g2.csv").write_text("left by an earlier run\n")
+        assert main(["analyze", "--indir", str(outdir)]) == 0
+        assert "g2 skipped" in capsys.readouterr().out
+        assert not (outdir / "g2.csv").exists()
+        report = json.loads((outdir / "report.json").read_text())
+        assert report["n_events"] == 3 and report["n_triggers"] == 3
+        assert report["g2_zero"] is None and report["g2_zero_stderr"] is None
+        assert report["g2_oscillation_omega"] is None
+        verdicts = {c["name"]: c["verdict"] for c in report["audit"]["checks"]}
+        assert verdicts["g2_zero"] == verdicts["g2_falloff"] == "inconclusive"
+        assert read_table(outdir / "h.csv")[0]["n_triggers"] == "3"
+
+    @pytest.mark.parametrize(
+        "name, key, renamed", [("counts_00000.txt", "t0", "x0"), ("current_00000.csv", "dt", "dx")]
+    )
+    def test_record_without_header_key_exits_3(self, quantum_run, tmp_path, capsys, name, key, renamed):
+        # renaming a key keeps the file's size, so the manifest check passes
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(quantum_run, broken)
+        victim = broken / name
+        text = victim.read_text()
+        assert f"# {key}=" in text
+        victim.write_text(text.replace(f"# {key}=", f"# {renamed}=", 1))
+        assert main(["analyze", "--indir", str(broken)]) == 3
+        err = capsys.readouterr().err
+        assert name in err and key in err
+
     @pytest.mark.parametrize("cut", ["no_header", "no_rows", "short_row"])
     def test_truncated_series_exits_3(self, tmp_path, capsys, cut):
         path = tmp_path / "g2.csv"
@@ -468,6 +528,17 @@ class TestSemiclassicalPipeline:
                 semi_run / f"counts_{i:05d}.txt").read_bytes()
             assert (tmp_path / "p.csv").read_bytes() == (
                 semi_run / f"current_{i:05d}.csv").read_bytes()
+
+    def test_two_workers_write_the_same_records(self, semi_run, tmp_path, capsys):
+        cfg = ExperimentConfig.from_text((semi_run / "config.ini").read_text())
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(replace(cfg, workers=2).to_text())
+        outdir = tmp_path / "out2"
+        assert main(["run", "--config", str(cfg_path), "--outdir", str(outdir)]) == 0
+        for i in range(cfg.n_trajectories):
+            for fmt in ("counts_{:05d}.txt", "current_{:05d}.csv"):
+                assert (outdir / fmt.format(i)).read_bytes() == (
+                    semi_run / fmt.format(i)).read_bytes(), fmt.format(i)
 
     def test_dead_time_reaches_the_records(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.ini"

@@ -15,18 +15,6 @@ class TestTimeGrid:
         assert g.t_end == pytest.approx(2.25)
         assert g.duration == pytest.approx(1.25)
 
-    def test_index_of_round_trip(self):
-        g = TimeGrid(t_start=0.0, dt=0.02, n_samples=1000)
-        for i in (0, 1, 499, 999):
-            assert g.index_of(g.times[i]) == i
-
-    def test_index_of_rejects_outside(self):
-        g = TimeGrid(t_start=0.0, dt=0.1, n_samples=10)
-        with pytest.raises(ValueError):
-            g.index_of(-0.3)
-        with pytest.raises(ValueError):
-            g.index_of(1.05)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             TimeGrid(0.0, 0.0, 10)

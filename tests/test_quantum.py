@@ -457,3 +457,20 @@ class TestEnsembleTransient:
         ref = np.einsum("tij,ji->t", states, n_op).real
         for k in range(200, 1201, 200):
             assert abs(mean[k] - ref[k]) < 5.0 * err[k]
+
+    def test_batch_size_does_not_change_the_mean(self, default_system):
+        # trajectory k owns stream k whatever the batching; 7 trajectories
+        # in batches of 3, 3 and 1 against one batch of 7. The stderr is
+        # compared squared: near t = 0 the variance is rounding noise, which
+        # its square root magnifies
+        grid = TimeGrid(0.0, 0.02, 400)
+        mean_3, err_3 = ensemble_number_expectation(default_system, grid, 7, seed=3, batch_size=3)
+        mean_7, err_7 = ensemble_number_expectation(default_system, grid, 7, seed=3, batch_size=7)
+        assert mean_7.max() > 0.0
+        assert np.abs(mean_3 - mean_7).max() <= 1e-12
+        assert np.abs(err_3**2 - err_7**2).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_traj", [0, -3])
+    def test_no_trajectories_rejected(self, default_system, n_traj):
+        with pytest.raises(ValueError):
+            ensemble_number_expectation(default_system, TimeGrid(0.0, 0.02, 10), n_traj, seed=3)

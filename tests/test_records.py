@@ -21,7 +21,6 @@ def test_count_record_basic():
     rec = CountRecord(np.array([0.5, 1.25, 3.0]), t0=0.0, t1=4.0)
     assert rec.n_events == 3
     assert rec.duration == pytest.approx(4.0)
-    assert rec.rate() == pytest.approx(0.75)
 
 
 def test_count_record_validation():
