@@ -45,6 +45,7 @@ __all__ = [
 STEADY_RESIDUAL_TOL = 1e-10
 CUTOFF_POPULATION_TOL = 1e-8
 NOISE_CHUNK = 4096
+RENORM_EVERY = 32
 
 
 @dataclass(frozen=True)
@@ -262,13 +263,12 @@ class TrajectoryRecord:
 
 
 def _realify(m: np.ndarray) -> np.ndarray:
-    """psi.view(float) @ _realify(m) == (psi @ m).view(float) for row states."""
-    re, im = m.real, m.imag
-    return np.stack([np.stack([re, im], -1), np.stack([-im, re], -1)], 1).reshape(2 * len(m), -1)
+    """_realify(m) @ [re x; im x] == [re (m x); im (m x)] for column states."""
+    return np.block([[m.real, -m.imag], [m.imag, m.real]])
 
 
 class _EnsembleEngine:
-    """Batched Euler stepper for the mixed jump/diffusion unraveling.
+    """Batched stepper for the mixed jump/diffusion unraveling.
 
     Cavity output is split: a fraction jump_fraction of kappa feeds the
     counting channel (recorded clicks), the rest feeds homodyne detection at
@@ -278,15 +278,31 @@ class _EnsembleEngine:
     counter-based stream per trajectory, so results do not depend on
     batching.
 
-    A step is one real product on the interleaved (re, im) view v of the
-    batch, X = v @ [P | K | S]. P is the exact no-jump propagator. K is the
-    homodyne kick c a^T P with c = hom_amp e^{-i theta}, since
-    (psi + j c a psi) P = X_P + j X_K. S is the quadrature form, scaled so
-    that sum(X_S v) is the current's drift term. a^dag a and sm^dag sm are
-    diagonal in this basis, so both jump probabilities are (v * v) @ W; only
-    rows that jump form a psi or sm psi. Clicks and atom jumps match records
-    of the earlier complex per-operator step; currents differ from them in
-    their last digits, as the sums are rounded in another order.
+    Frame. The engine holds phi = U psi with U = exp(-i theta a^dag a), the
+    cavity rotated by the LO phase. There the homodyne kick c a (c = hom_amp
+    e^{-i theta}) becomes the real ladder hom_amp a, the current's drift is
+    2 hom_amp dt Re<a>, the propagators are U P U^dag and the cavity jump is
+    U a U^dag = e^{i theta} a.
+
+    Layout. The batch is the last axis: v = [re phi; im phi] has shape
+    (2 dim, batch), so every elementwise call runs one contiguous loop over
+    the batch. a v is the shifted slice v[1:] scaled by sqrt(n) per row.
+    a^dag a and sm^dag sm are diagonal, so one (4, 4 dim - 1) product on the
+    stacked v * v and v[:-1] * v[1:] gives both jump weights, the drift and
+    the norm^2. The one dense product of a step is P' (v + j hom_amp a v),
+    with P' the realified exact no-jump propagator; the kick and the drift
+    need no product of their own. Only the columns that jump take the
+    half-step jump product instead.
+
+    Renormalization. v is rescaled to unit norm every RENORM_EVERY steps,
+    not every step. In between, the drift and both jump thresholds are
+    divided by the norm^2, so they read the normalized state. A norm^2 that
+    is zero or not finite raises FloatingPointError at the next step.
+
+    What the frame does not change: the draws, the click rule, the
+    (batch, NOISE_CHUNK) noise arrays and the psi rows (lab frame,
+    normalized). Seeded clicks and atom jumps are those of a lab-frame step;
+    currents differ from it only by rounding.
 
     A click during step n collapses the state entering step n+1; its
     timestamp is the time of the first post-collapse current sample.
@@ -313,37 +329,58 @@ class _EnsembleEngine:
         gen = -1j * system.hamiltonian - 0.5 * (
             p.kappa * a.conj().T @ a + p.gamma * sm.conj().T @ sm
         )
-        prop_t = integrate_linear_ode(gen, np.eye(d), dt, 1).T
-        self.prop_half_t = integrate_linear_ode(gen, np.eye(d), dt / 2.0, 1).T.copy()
-        self.a_t = a.T.copy()
-        self.sm_t = sm.T.copy()
-        hom_amp = math.sqrt((1.0 - jump_fraction) * p.kappa)
-        phase = np.exp(-1j * lo_phase)
-        self.step_mat = np.hstack([
-            _realify(prop_t),
-            _realify(hom_amp * phase * self.a_t @ prop_t),
-            _realify(2.0 * hom_amp * dt * _quadrature(a, lo_phase).T),
-        ])
-        self.number_w = np.repeat(np.diag(a.conj().T @ a).real, 2)
-        atom_w = np.repeat(np.diag(sm.conj().T @ sm).real, 2)
-        self.jump_w = dt * np.stack(
-            [jump_fraction * p.kappa * self.number_w, p.gamma * atom_w], axis=1
+        number = np.diag(a.conj().T @ a).real
+        self.frame = np.exp(-1j * lo_phase * number)  # the diagonal of U
+        u = np.diag(self.frame)
+        gen = u @ gen @ u.conj().T
+        half = integrate_linear_ode(gen, np.eye(d), dt / 2.0, 1)
+        self.prop = _realify(integrate_linear_ode(gen, np.eye(d), dt, 1))
+        self.jump_props = tuple(
+            _realify(half @ op @ half) for op in (u @ a @ u.conj().T, sm)
         )
+        hom_amp = math.sqrt((1.0 - jump_fraction) * p.kappa)
+        self.number_w = np.stack([np.tile(number, 2), np.ones(2 * d)])
+        atom_w = np.tile(np.diag(sm.conj().T @ sm).real, 2)
+        # (a v)[r] = sqrt(n) v[r + 1] on the stacked rows of v, with n the
+        # Fock level of row r + 1; n is 0 where a block starts
+        rungs = np.sqrt(self.number_w[0, 1:])
+        # rows: cavity and atom jump weights, 2 hom_amp dt Re<a> and norm^2;
+        # the first 2 dim columns act on v * v, the rest on v[:-1] * v[1:]
+        w = np.zeros((4, 4 * d - 1))
+        w[0, : 2 * d] = dt * (jump_fraction * p.kappa * self.number_w[0])
+        w[1, : 2 * d] = dt * (p.gamma * atom_w)
+        w[2, 2 * d :] = (2.0 * hom_amp * dt) * rungs
+        w[3, : 2 * d] = 1.0
+        self.weights = w
         self.streams = [RngStream(seed, sid) for sid in stream_ids]
-        self.batch = len(stream_ids)
-        psi0 = basis_state(system, excited=False, n_photons=0)
-        self.psi = np.tile(psi0, (self.batch, 1))
+        self.batch = b = len(stream_ids)
+        # repeated over the batch, so the kick's outer product broadcasts j alone
+        self.kick_rungs = np.repeat(hom_amp * rungs[:, None], b, axis=1)
+        self.psi = np.tile(basis_state(system, excited=False, n_photons=0), (b, 1))
+        self._squares = np.empty((4 * d - 1, b))
+        self._kicked = np.empty_like(self.v)
+        self._next = np.empty_like(self.v)
+        # cavity uniforms, atom uniforms and Wiener increments per step
+        self._noise = np.empty((3, b, NOISE_CHUNK))
+        self.u_cav, self.u_atom, self.dw = self._noise
         self._chunk_pos = NOISE_CHUNK
+        self._steps = 0
+
+    @property
+    def psi(self) -> np.ndarray:
+        """Lab-frame states as normalized rows, shape (batch, dim)."""
+        d = len(self.frame)
+        phi = (self.v[:d] + 1j * self.v[d:]).T
+        return phi * (self.frame.conj() / np.linalg.norm(phi, axis=1)[:, None])
+
+    @psi.setter
+    def psi(self, rows: np.ndarray) -> None:
+        phi = rows * self.frame
+        self.v = np.ascontiguousarray(np.concatenate([phi.real, phi.imag], axis=1).T)
 
     def _refill(self) -> None:
-        b = self.batch
-        self.u_cav = np.empty((b, NOISE_CHUNK))
-        self.u_atom = np.empty((b, NOISE_CHUNK))
-        self.dw = np.empty((b, NOISE_CHUNK))
         for i, st in enumerate(self.streams):
-            u = st.uniform(2 * NOISE_CHUNK)
-            self.u_cav[i] = u[:NOISE_CHUNK]
-            self.u_atom[i] = u[NOISE_CHUNK:]
+            self._noise[:2, i] = st.uniform(2 * NOISE_CHUNK).reshape(2, NOISE_CHUNK)
             self.dw[i] = st.gaussian(NOISE_CHUNK)
         self.dw *= math.sqrt(self.dt)
         self._chunk_pos = 0
@@ -353,37 +390,45 @@ class _EnsembleEngine:
         atom_jump_mask)."""
         if self._chunk_pos >= NOISE_CHUNK:
             self._refill()
-        j = self._chunk_pos
+        noise = self._noise[:, :, self._chunk_pos]
+        dw = noise[2]
         self._chunk_pos += 1
-        psi = self.psi
-        v = psi.view(float)
-        w = v.shape[1]  # 2 * dim: the P, K and S blocks of x
-        x = v @ self.step_mat
-        j_dt = np.einsum("bi,bi->b", x[:, 2 * w :], v) + self.dw[:, j]
-        thresholds = (v * v) @ self.jump_w
-        jump_cav = self.u_cav[:, j] < thresholds[:, 0]
-        jump_atom = (~jump_cav) & (self.u_atom[:, j] < thresholds[:, 1])
+        v, sq, kicked = self.v, self._squares, self._kicked
+        np.multiply(v, v, out=sq[: len(v)])
+        np.multiply(v[:-1], v[1:], out=sq[len(v) :])
+        stats = self.weights @ sq
+        norm2 = stats[3]
+        if not (0.0 < norm2.min() and norm2.max() < math.inf):
+            raise FloatingPointError("trajectory norm^2 is zero or not finite")
+        # jump probabilities and drift of the normalized state
+        probs = stats[:3] / norm2
+        j_dt = probs[2] + dw
+        hits = noise[:2] < probs[:2]
+        # an atom jump only where the cavity did not jump: True > False
+        jump_cav, jump_atom = hits[0], hits[1] > hits[0]
 
-        new = x[:, w : 2 * w] * j_dt[:, None]
-        new += x[:, :w]
+        # kicked = v + j hom_amp a v, from shifted rows of v
+        np.multiply(self.kick_rungs, j_dt, out=kicked[:-1])
+        kicked[:-1] *= v[1:]
+        kicked[:-1] += v[:-1]
+        kicked[-1] = v[-1]
+        new = np.matmul(self.prop, kicked, out=self._next)
         # reductions act at the step midpoint: drop the diffusive kick for
         # that step (zero-mean), but keep the drift on both sides of the
         # collapse, otherwise every click skips a full step of drift
-        new_c = new.view(complex)
-        for jumped, op_t in ((jump_cav, self.a_t), (jump_atom, self.sm_t)):
-            if jumped.any():
-                half = psi[jumped] @ self.prop_half_t
-                new_c[jumped] = (half @ op_t) @ self.prop_half_t
-        norm = np.sqrt(np.einsum("bi,bi->b", new, new))
-        if not (norm > 0).all():
-            raise FloatingPointError("trajectory norm collapsed to zero")
-        new *= (1.0 / norm)[:, None]
-        self.psi = new_c
+        if np.count_nonzero(hits):
+            for jumped, jump_prop in zip((jump_cav, jump_atom), self.jump_props):
+                if np.count_nonzero(jumped):
+                    new[:, jumped] = jump_prop @ v[:, jumped]
+        self._steps += 1
+        if self._steps % RENORM_EVERY == 0:
+            new *= 1.0 / np.sqrt(np.einsum("ib,ib->b", new, new))
+        self.v, self._next = new, v
         return j_dt / self.dt, jump_cav, jump_atom
 
     def photon_number(self) -> np.ndarray:
-        v = self.psi.view(float)
-        return (v * v) @ self.number_w
+        num, norm2 = self.number_w @ (self.v * self.v)
+        return num / norm2
 
 
 @single_blas_thread
@@ -409,7 +454,7 @@ def _run_batch(
         if store_current:
             currents[:, m] = cur
         atom_totals += ja
-        if jc.any():
+        if np.count_nonzero(jc):
             clicks.append(np.flatnonzero(jc) * n + m)
     keys = np.sort(np.concatenate(clicks))
     times = grid.t_start + grid.dt * (keys % n + 1.0)
@@ -478,19 +523,29 @@ def ensemble_number_expectation(
     No burn-in: the transient itself is the object. Returns (mean, stderr)
     per grid sample; the mean converges to the master-equation photon
     number as n_traj grows, and stderr is the trajectory spread / sqrt(n).
+    Each batch gives its mean and summed squared deviation in two passes;
+    batches merge by the pairwise rule of Chan, Golub and LeVeque, so a
+    small spread does not cancel against the squared mean.
     """
     batches = _stream_batches(n_traj, batch_size)
     theta = _resolve_lo_phase(system, lo_phase)
-    total = np.zeros(grid.n_samples)
-    total2 = np.zeros(grid.n_samples)
+    count = 0
+    mean = np.zeros(grid.n_samples)
+    sq_dev = np.zeros(grid.n_samples)
     for ids in batches:
         eng = _EnsembleEngine(system, grid.dt, jump_fraction, theta, seed, ids)
+        b_mean = np.empty(grid.n_samples)
+        b_sq_dev = np.empty(grid.n_samples)
         for m in range(grid.n_samples):
             if m:
                 eng.step()
             vals = eng.photon_number()
-            total[m] += vals.sum()
-            total2[m] += (vals * vals).sum()
-    mean = total / n_traj
-    var = np.maximum(total2 / n_traj - mean * mean, 0.0)
-    return mean, np.sqrt(var / n_traj)
+            b_mean[m] = vals.mean()
+            dev = vals - b_mean[m]
+            b_sq_dev[m] = dev @ dev
+        delta = b_mean - mean
+        total = count + eng.batch
+        mean += delta * (eng.batch / total)
+        sq_dev += b_sq_dev + delta * delta * (count * eng.batch / total)
+        count = total
+    return mean, np.sqrt(sq_dev) / n_traj

@@ -20,7 +20,7 @@ import numpy as np
 from .numerics import TimeGrid
 
 FLOAT_FMT = "{:.16e}"
-_CURRENT_ROW = "{}" + FLOAT_FMT + "\n"
+_CURRENT_ROW = "%s%.16e\n"  # the 't,' prefix, then the sample in FLOAT_FMT
 
 
 def _fmt(v: float) -> str:
@@ -142,8 +142,10 @@ def save_photocurrent(path, rec: PhotocurrentRecord) -> None:
             },
         )
         fh.write("t,i\n")
-        times = _time_column(g.t_start, g.dt, g.n_samples)
-        fh.write("".join(map(_CURRENT_ROW.format, times, rec.samples.tolist())))
+        cells = [None] * (2 * g.n_samples)
+        cells[::2] = _time_column(g.t_start, g.dt, g.n_samples)
+        cells[1::2] = rec.samples.tolist()
+        fh.write(_CURRENT_ROW * g.n_samples % tuple(cells))
 
 
 def load_photocurrent(path) -> PhotocurrentRecord:

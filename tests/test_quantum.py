@@ -27,7 +27,7 @@ from photodyne.quantum import (
     steady_state,
     unravel_ensemble,
 )
-from photodyne.quantum import _EnsembleEngine
+from photodyne.quantum import RENORM_EVERY, _EnsembleEngine
 
 FROZEN_NBAR = 0.0147836
 FROZEN_A = -0.1174j
@@ -371,8 +371,9 @@ class TestUnraveling:
         assert rec.counts.n_events == 0
 
     def test_step_matches_dense_products(self):
-        # the engine steps with one real product on the interleaved view and
-        # diagonal jump weights; that is the plain dense update up to rounding
+        # the engine steps in the LO-rotated frame with the batch on the last
+        # axis and renormalizes every RENORM_EVERY steps; over three periods
+        # that is the plain lab-frame dense update up to rounding
         p = SystemParams(g=0.75, kappa=1.0, gamma=1.0, drive=0.5, fock_cutoff=14)
         system = build_system(p)
         dt, fraction, theta = 0.02, 0.9, 0.3
@@ -390,7 +391,7 @@ class TestUnraveling:
         hom_amp = math.sqrt((1.0 - fraction) * p.kappa)
         c = hom_amp * np.exp(-1j * theta)
         seen_cav = seen_atom = 0
-        for j in range(60):
+        for j in range(3 * RENORM_EVERY):
             psi = eng.psi.copy()
             a_psi = psi @ a.T
             sm_psi = psi @ sm.T
@@ -413,6 +414,17 @@ class TestUnraveling:
             seen_cav += int(cav.sum())
             seen_atom += int(atom.sum())
         assert seen_cav > 0 and seen_atom > 0
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_collapsed_or_non_finite_state_raises(self, default_system, bad):
+        eng = _EnsembleEngine(default_system, 0.02, 0.5, 0.3, 7, list(range(5)))
+        for _ in range(RENORM_EVERY + 3):
+            eng.step()
+        psi = eng.psi
+        psi[2] = bad
+        with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
+            eng.psi = psi
+            eng.step()
 
     def test_photon_number_is_number_expectation(self, default_system):
         eng = _EnsembleEngine(default_system, 0.02, 0.5, 0.3, 7, list(range(5)))
@@ -469,6 +481,17 @@ class TestEnsembleTransient:
         assert mean_7.max() > 0.0
         assert np.abs(mean_3 - mean_7).max() <= 1e-12
         assert np.abs(err_3**2 - err_7**2).max() <= 1e-12
+
+    def test_stderr_does_not_depend_on_batching(self, default_system):
+        # per-batch mean and squared deviation, merged across batches: the
+        # small early-time spread survives, where total2 / n - mean^2 loses
+        # a quarter of it to cancellation at t = 0.2
+        grid = TimeGrid(0.0, 0.02, 400)
+        _, err_3 = ensemble_number_expectation(default_system, grid, 7, seed=3, batch_size=3)
+        _, err_7 = ensemble_number_expectation(default_system, grid, 7, seed=3, batch_size=7)
+        late = grid.times >= 0.1
+        assert err_7[late].min() > 0.0
+        assert np.abs(err_3[late] / err_7[late] - 1.0).max() <= 1e-6
 
     @pytest.mark.parametrize("n_traj", [0, -3])
     def test_no_trajectories_rejected(self, default_system, n_traj):
