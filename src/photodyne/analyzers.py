@@ -211,11 +211,71 @@ def segment_sums(
     return lags, sums, sumsqs, int(centers.size)
 
 
-def estimate_h(
-    records,
-    halfwidth: float,
-    bin_width: float | None = None,
-) -> CorrelationSeries:
+class _TriggeredSums:
+    """estimate_h's per-record work, one add(counts, current) per record:
+    trigger-bin sums and sums of squares, the current's total and sample
+    count, and each record's mean; series() divides by the pooled mean."""
+
+    def __init__(self, halfwidth: float, bin_width: float | None) -> None:
+        self.halfwidth, self.bin_width = halfwidth, bin_width
+        self.dt = None
+        self.sums = self.sumsqs = self.total = 0.0
+        self.n_samp = self.n_used = 0
+        self.means = []
+        self.first_noise = 0.0  # the first record's sample noise on its mean
+
+    def add(self, counts: CountRecord, cur: PhotocurrentRecord | None) -> None:
+        if cur is None:
+            raise ValueError("h needs a photocurrent with every click record")
+        if self.dt is None:
+            self.dt = cur.grid.dt
+            span = cur.grid.dt * (cur.grid.n_samples - 1)
+            self.first_noise = float(cur.samples.std()) / math.sqrt(max(8.0, span * cur.bandwidth))
+        elif abs(cur.grid.dt - self.dt) > 1e-12 * self.dt:
+            raise ValueError("records have mixed sample spacings")
+        self.total += float(cur.samples.sum())
+        self.n_samp += cur.samples.size
+        self.means.append(cur.mean())
+        _, s, ss, n = segment_sums(counts.timestamps, cur, self.halfwidth, self.bin_width)
+        self.sums += s
+        self.sumsqs += ss
+        self.n_used += n
+
+    def mean_resolved(self) -> bool:
+        """True when the pooled current mean stands above its sampling noise.
+
+        h is normalized by this mean; a mean consistent with zero (phase-random
+        sources) would turn the conditional average into noise ratios."""
+        means = np.array(self.means)
+        se = self.first_noise
+        if means.size >= 2:
+            se = float(means.std(ddof=1)) / math.sqrt(means.size)
+        return abs(float(means.mean())) > 3.0 * se
+
+    def series(self) -> CorrelationSeries:
+        if self.dt is None:
+            raise ValueError("no records")
+        mean_unc = self.total / self.n_samp
+        if abs(mean_unc) < 1e-300:
+            raise ArithmeticError("unconditional current mean is zero")
+        if self.n_used == 0:
+            raise ValueError("no usable triggers inside the record window")
+        cond = self.sums / self.n_used
+        var = np.maximum(self.sumsqs / self.n_used - cond**2, 0.0)
+        return CorrelationSeries(
+            lags=_lag_bins(self.halfwidth, self.bin_width, self.dt)[3],
+            values=cond / mean_unc,
+            stderr=np.sqrt(var / self.n_used) / abs(mean_unc),
+            normalization="h",
+            meta={
+                "n_triggers": self.n_used,
+                "unconditional_mean": mean_unc,
+                "bin_width": self.dt * _bin_samples(self.bin_width, self.dt),
+            },
+        )
+
+
+def estimate_h(records, halfwidth: float, bin_width: float | None = None) -> CorrelationSeries:
     """Click-triggered average of the homodyne current over its mean.
 
     records: a (CountRecord, PhotocurrentRecord) pair, an object with
@@ -228,62 +288,59 @@ def estimate_h(
     clumps much shorter than the segment) undercount it, so error-sensitive
     work there should average independent runs instead.
     """
-    dt = None
-    lag_centers = None
-    sums = sumsqs = None
-    total = 0.0
-    n_samp = 0
-    n_used = 0
+    sums = _TriggeredSums(halfwidth, bin_width)
     for counts, cur in _iter_pairs(records):
-        if cur is None:
-            raise ValueError("h needs a photocurrent with every click record")
-        if dt is None:
-            dt = cur.grid.dt
-        elif abs(cur.grid.dt - dt) > 1e-12 * dt:
-            raise ValueError("records have mixed sample spacings")
-        total += float(cur.samples.sum())
-        n_samp += cur.samples.size
-        lags_r, s, ss, n = segment_sums(
-            counts.timestamps, cur, halfwidth, bin_width
-        )
-        if sums is None:
-            lag_centers = lags_r
-            sums = s
-            sumsqs = ss
-        else:
-            sums += s
-            sumsqs += ss
-        n_used += n
-
-    if dt is None or n_samp == 0:
-        raise ValueError("no records")
-    mean_unc = total / n_samp
-    if abs(mean_unc) < 1e-300:
-        raise ArithmeticError("unconditional current mean is zero")
-    if n_used == 0:
-        raise ValueError("no usable triggers inside the record window")
-    cond = sums / n_used
-    var = np.maximum(sumsqs / n_used - cond**2, 0.0)
-    values = cond / mean_unc
-    stderr = np.sqrt(var / n_used) / abs(mean_unc)
-    return CorrelationSeries(
-        lags=lag_centers,
-        values=values,
-        stderr=stderr,
-        normalization="h",
-        meta={
-            "n_triggers": n_used,
-            "unconditional_mean": mean_unc,
-            "bin_width": dt * _bin_samples(bin_width, dt),
-        },
-    )
+        sums.add(counts, cur)
+    return sums.series()
 
 
-def estimate_g2(
-    records,
-    max_lag: float,
-    bin_width: float,
-) -> CorrelationSeries:
+class _PairCounts:
+    """estimate_g2's per-record work, one add(counts) per record: the pair
+    histogram, the independent-click expectation, the event count and the
+    duration; series() is None while every expectation is zero."""
+
+    def __init__(self, max_lag: float, bin_width: float) -> None:
+        if bin_width <= 0 or max_lag <= bin_width:
+            raise ValueError("need 0 < bin_width < max_lag")
+        self.bin_width = bin_width
+        self.nb = int(round(max_lag / bin_width))
+        self.lags = (np.arange(self.nb) + 0.5) * bin_width
+        self.hist = np.zeros(self.nb)
+        self.expected = np.zeros(self.nb)
+        self.n_events = 0
+        self.duration = 0.0
+
+    def add(self, rec: CountRecord) -> None:
+        ts = rec.timestamps
+        n = ts.size
+        span = rec.duration
+        if span <= 0:
+            raise ValueError("record with empty window")
+        self.duration += span
+        self.n_events += n
+        if n < 2:
+            return
+        self.expected += n * (n - 1) / span**2 * self.bin_width * np.maximum(span - self.lags, 0.0)
+        # offset k pairs each click with the k-th next one; separations grow
+        # with k, so the first offset with no pair in range ends the pass
+        for k in range(1, n):
+            idx = ((ts[k:] - ts[:-k]) / self.bin_width).astype(int)
+            idx = idx[idx < self.nb]
+            if idx.size == 0:
+                break
+            self.hist += np.bincount(idx, minlength=self.nb)
+
+    def series(self) -> CorrelationSeries | None:
+        if self.expected.max() <= 0:
+            return None
+        hist, expect, ok = self.hist, self.expected, self.expected > 0
+        values = np.divide(hist, expect, out=np.zeros(self.nb), where=ok)
+        stderr = np.divide(np.sqrt(np.maximum(hist, expect)), expect, out=np.zeros(self.nb), where=ok)
+        return CorrelationSeries(self.lags, values, stderr, "g2",
+                                 {"n_events": self.n_events, "total_duration": self.duration})
+
+
+def estimate_g2(records, max_lag: float, bin_width: float) -> CorrelationSeries:
     """Normalized ordered-pair histogram of click separations.
 
     records is one record or an iterable of records, where a record is a
@@ -304,49 +361,13 @@ def estimate_g2(
     and on the independent-click expectation where fewer pairs were seen,
     so an empty bin keeps its null error instead of a zero one.
     """
-    if bin_width <= 0 or max_lag <= bin_width:
-        raise ValueError("need 0 < bin_width < max_lag")
-    nb = int(round(max_lag / bin_width))
-    lags = (np.arange(nb) + 0.5) * bin_width
-    hist = np.zeros(nb)
-    expected = np.zeros(nb)
-    n_events = 0
-    duration = 0.0
+    pairs = _PairCounts(max_lag, bin_width)
     for rec, _ in _iter_pairs(records):
-        ts = rec.timestamps
-        n = ts.size
-        t_span = rec.duration
-        if t_span <= 0:
-            raise ValueError("record with empty window")
-        duration += t_span
-        n_events += n
-        if n < 2:
-            continue
-        expected += (
-            n * (n - 1) / t_span**2 * bin_width * np.maximum(t_span - lags, 0.0)
-        )
-        # offset k pairs each click with the k-th next one; separations grow
-        # with k, so the first offset with no pair in range ends the pass
-        for k in range(1, n):
-            idx = ((ts[k:] - ts[:-k]) / bin_width).astype(int)
-            idx = idx[idx < nb]
-            if idx.size == 0:
-                break
-            hist += np.bincount(idx, minlength=nb)
-    if expected.max() <= 0:
+        pairs.add(rec)
+    g2 = pairs.series()
+    if g2 is None:
         raise ValueError("no events; g2 undefined")
-    ok = expected > 0
-    values = np.divide(hist, expected, out=np.zeros(nb), where=ok)
-    stderr = np.divide(
-        np.sqrt(np.maximum(hist, expected)), expected, out=np.zeros(nb), where=ok
-    )
-    return CorrelationSeries(
-        lags=lags,
-        values=values,
-        stderr=stderr,
-        normalization="g2",
-        meta={"n_events": n_events, "total_duration": duration},
-    )
+    return g2
 
 
 def squeezing_spectrum(

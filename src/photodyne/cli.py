@@ -12,6 +12,10 @@ semiclassical_record, and _write_records saves them as counts_<id>.txt and
 current_<id>.csv, in process or in a pool worker; the files do not depend on
 the worker count.
 
+analyze: one pass. _read_pairs reads one count/current file pair at a time
+and feeds it once to _PairCounts (g2) and _TriggeredSums (h and the mean
+rule), so analyze holds one record pair at a time, whatever n_trajectories.
+
 Exit codes: 0 success, 2 configuration or argument error, 3 missing or
 inconsistent data or a failed computation, 4 statistically inconclusive
 result (audit cannot call a verdict, or compare has no usable bins).
@@ -32,10 +36,10 @@ from . import __version__
 from .analyzers import (
     CorrelationSeries,
     _lag_bins,
+    _PairCounts,
+    _TriggeredSums,
     audit_classical_bounds,
     dominant_oscillation_frequency,
-    estimate_g2,
-    estimate_h,
     squeezing_spectrum,
 )
 from .blackbody import sample_report
@@ -163,16 +167,14 @@ def _load_config(indir: Path) -> ExperimentConfig:
     return cfg
 
 
-def _load_run(indir: Path):
-    cfg = _load_config(indir)
-    pairs = []
-    for i in range(cfg.n_trajectories):
+def _read_pairs(indir: Path, n_records: int):
+    """Yield each (CountRecord, PhotocurrentRecord) of a run, one file pair at a time."""
+    for i in range(n_records):
         cpath = indir / _COUNTS_FMT.format(i)
         ppath = indir / _CURRENT_FMT.format(i)
         if not (cpath.is_file() and ppath.is_file()):
             raise DataError(f"record pair {i} missing from {indir}")
-        pairs.append((load_count_record(cpath), load_photocurrent(ppath)))
-    return cfg, pairs
+        yield load_count_record(cpath), load_photocurrent(ppath)
 
 
 def _si_block(cfg: ExperimentConfig, peaks: dict) -> dict:
@@ -195,22 +197,6 @@ def _si_block(cfg: ExperimentConfig, peaks: dict) -> dict:
     return out
 
 
-def _current_mean_resolved(pairs) -> bool:
-    """True when the pooled current mean stands above its sampling noise.
-
-    h is normalized by this mean; a mean consistent with zero (phase-random
-    sources) would turn the conditional average into noise ratios."""
-    means = np.array([cur.mean() for _, cur in pairs])
-    if means.size >= 2:
-        se = float(means.std(ddof=1)) / math.sqrt(means.size)
-    else:
-        cur = pairs[0][1]
-        span = cur.grid.dt * (cur.grid.n_samples - 1)
-        n_eff = max(8.0, span * cur.bandwidth)
-        se = float(cur.samples.std()) / math.sqrt(n_eff)
-    return abs(float(means.mean())) > 3.0 * se
-
-
 def _oscillation_or_none(values, dt: float, stderr=None) -> float | None:
     """dominant_oscillation_frequency, or None for a flat g2 (as at g = 0)
     or one whose oscillation does not stand above its stderr."""
@@ -222,47 +208,37 @@ def _oscillation_or_none(values, dt: float, stderr=None) -> float | None:
 
 def _cmd_analyze(args) -> int:
     indir = Path(args.indir)
-    cfg, pairs = _load_run(indir)
-    g2 = h = spectrum = None
-    if any(counts.n_events >= 2 for counts, _ in pairs):
-        g2 = estimate_g2(pairs, cfg.max_lag, cfg.bin_width)
-    if _current_mean_resolved(pairs):
-        h = estimate_h(pairs, cfg.halfwidth, bin_width=cfg.bin_width)
+    cfg = _load_config(indir)
+    pairs = _PairCounts(cfg.max_lag, cfg.bin_width)
+    sums = _TriggeredSums(cfg.halfwidth, cfg.bin_width)
+    for counts, current in _read_pairs(indir, cfg.n_trajectories):
+        pairs.add(counts)
+        sums.add(counts, current)
+    g2 = pairs.series()
+    h = spectrum = None
+    if sums.mean_resolved():
+        h = sums.series()
         top = cfg.max_frequency if cfg.max_frequency > 0 else 0.5 * math.pi / cfg.bin_width
         spectrum = squeezing_spectrum(h, np.linspace(0.0, top, cfg.n_frequencies))
     report_audit = audit_classical_bounds(g2, h)
-    n_events = sum(counts.n_events for counts, _ in pairs)
+    for name in ("g2.csv", "h.csv", "squeezing.csv"):
+        (indir / name).unlink(missing_ok=True)  # a previous run's
     g2_peak = dip_omega = dip_value = None
-    tables = dict.fromkeys(("g2.csv", "h.csv", "squeezing.csv"))
     if g2 is not None:
         g2_peak = _oscillation_or_none(g2.values, cfg.bin_width, g2.stderr)
-        tables["g2.csv"] = (
-            {"normalization": "g2", "n_events": n_events},
-            "tau,value,stderr",
-            [g2.lags, g2.values, g2.stderr],
-        )
+        write_table(indir / "g2.csv", {"normalization": "g2", "n_events": pairs.n_events},
+                    "tau,value,stderr", [g2.lags, g2.values, g2.stderr])
     if h is not None:
-        tables["h.csv"] = (
-            {"normalization": "h", "n_triggers": h.meta["n_triggers"]},
-            "tau,value,stderr",
-            [h.lags, h.values, h.stderr],
-        )
-        tables["squeezing.csv"] = (
-            dict(spectrum.meta),
-            "omega,value,stderr",
-            [spectrum.frequencies, spectrum.values, spectrum.stderr],
-        )
+        write_table(indir / "h.csv", {"normalization": "h", "n_triggers": h.meta["n_triggers"]},
+                    "tau,value,stderr", [h.lags, h.values, h.stderr])
+        write_table(indir / "squeezing.csv", dict(spectrum.meta), "omega,value,stderr",
+                    [spectrum.frequencies, spectrum.values, spectrum.stderr])
         dip_omega, dip_value = spectrum.minimum()
-    for name, table in tables.items():
-        if table is None:
-            (indir / name).unlink(missing_ok=True)  # a previous run's
-        else:
-            write_table(indir / name, *table)
     report = {
         "config_hash": cfg.config_hash(),
         "source": cfg.source,
-        "n_records": len(pairs),
-        "n_events": n_events,
+        "n_records": cfg.n_trajectories,
+        "n_events": pairs.n_events,
         "n_triggers": int(h.meta["n_triggers"]) if h is not None else None,
         "g2_zero": g2.value_at(0.0) if g2 is not None else None,
         "g2_zero_stderr": float(g2.stderr[0]) if g2 is not None else None,
@@ -280,7 +256,7 @@ def _cmd_analyze(args) -> int:
     (indir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
     )
-    print(f"analyzed {len(pairs)} records, {report['n_events']} events")
+    print(f"analyzed {cfg.n_trajectories} records, {pairs.n_events} events")
     if h is None:
         print("mean current consistent with zero; h and squeezing skipped")
     g2_line = (

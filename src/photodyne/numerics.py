@@ -212,9 +212,10 @@ def integrate_linear_ode(
     prop = blocks.pop()
     for block in reversed(blocks):
         prop = a4 @ prop + block
-    for _ in range(squarings):
-        prop = prop @ prop
-    psi = prop @ psi
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        for _ in range(squarings):
+            prop = prop @ prop
+        psi = prop @ psi
     if not np.isfinite(psi).all():
         raise FloatingPointError("non-finite state from the propagator")
     return psi

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -5,11 +6,13 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+import weakref
 
 import numpy as np
 import pytest
 
 import photodyne
+from photodyne import cli
 from photodyne.cli import main
 from photodyne.config import (
     ENV_OUTDIR,
@@ -25,6 +28,7 @@ from photodyne.numerics import RngStream, TimeGrid
 from photodyne.quantum import DEFAULTS, build_system, g2_regression, h_regression
 from photodyne.records import (
     load_count_record,
+    load_photocurrent,
     read_table,
     save_count_record,
     save_photocurrent,
@@ -441,6 +445,43 @@ class TestAnalyzeCompareAudit:
         verdicts = {c["name"]: c["verdict"] for c in report["audit"]["checks"]}
         assert verdicts["g2_zero"] == verdicts["g2_falloff"] == "inconclusive"
         assert read_table(outdir / "h.csv")[0]["n_triggers"] == "3"
+
+    def test_analyze_holds_one_record_pair_at_a_time(self, quantum_run, monkeypatch):
+        # analyze streams the run: when a current file is read, at most the
+        # record read just before it may still be alive
+        loaded, alive = [], []
+
+        def load(path):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in loaded))
+            rec = load_photocurrent(path)
+            loaded.append(weakref.ref(rec))
+            return rec
+
+        monkeypatch.setattr(cli, "load_photocurrent", load)
+        assert main(["analyze", "--indir", str(quantum_run)]) == 0
+        assert len(alive) == 16 and max(alive) <= 1
+
+    @pytest.mark.parametrize("ini, keeps_h", [
+        # default physics: the mean stands 5.7 single-record noises above zero
+        ("[run]\nn_trajectories = 1\nduration = 1600.0\n", True),
+        # phase-random thermal light: 0.2 noises from zero
+        ("[field]\nkind = thermal_ou\n[run]\nsource = semiclassical\n"
+         "n_trajectories = 1\nduration = 300.0\n", False),
+    ], ids=["quantum", "thermal"])
+    def test_single_record_mean_rule(self, tmp_path, capsys, ini, keeps_h):
+        # one record has no spread of record means to test its mean against:
+        # its own sample noise, over the independent samples its bandwidth
+        # allows, decides whether h is kept
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(ini)
+        outdir = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--outdir", str(outdir)]) == 0
+        assert main(["analyze", "--indir", str(outdir)]) == 0
+        assert (outdir / "h.csv").is_file() == keeps_h
+        report = json.loads((outdir / "report.json").read_text())
+        assert (report["n_triggers"] is not None) == keeps_h
+        assert ("h and squeezing skipped" in capsys.readouterr().out) != keeps_h
 
     @pytest.mark.parametrize(
         "name, key, renamed", [("counts_00000.txt", "t0", "x0"), ("current_00000.csv", "dt", "dx")]
