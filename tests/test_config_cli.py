@@ -500,6 +500,25 @@ class TestAnalyzeCompareAudit:
         err = capsys.readouterr().err
         assert name in err and key in err
 
+    @pytest.mark.parametrize("prefix", ["counts", "current"])
+    def test_malformed_value_exits_3_naming_file_and_row(self, quantum_run, tmp_path, capsys, prefix):
+        # the last value of a record overwritten in place keeps the file's
+        # size, so the manifest check passes and the reader meets it
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(quantum_run, broken)
+        victim = max(broken.glob(f"{prefix}_*"), key=lambda p: p.stat().st_size)
+        lines = victim.read_text().splitlines(keepends=True)
+        n_rows = sum(line[0] in "0123456789" for line in lines)
+        assert n_rows >= 1
+        head, _, value = lines[-1].rpartition(",")
+        lines[-1] = head + _ + "x" * (len(value) - 1) + "\n"
+        victim.write_text("".join(lines))
+        assert main(["analyze", "--indir", str(broken)]) == 3
+        err = capsys.readouterr().err
+        assert victim.name in err and f"data row {n_rows}:" in err and "xxx" in err
+
     @pytest.mark.parametrize("cut", ["no_header", "no_rows", "short_row"])
     def test_truncated_series_exits_3(self, tmp_path, capsys, cut):
         path = tmp_path / "g2.csv"

@@ -288,6 +288,20 @@ class TestRegression:
             ref = expectation(op, rho).real / expectation(op, rho_ss).real
             assert abs(values[k] - ref) < 1e-9
 
+    def test_weak_drive_g2_is_h_squared(self):
+        # to lowest order in the drive the conditioned state is pure, so the
+        # two regression curves meet as g2(tau) -> h(tau)**2, the gap shrinking
+        # as drive**2; a fault in either op of the regression rule breaks it
+        grid = TimeGrid(0.0, 0.005, 2401)
+        drives = [0.01, 0.02, 0.05]
+        gaps = []
+        for drive in drives:
+            system = build_system(SystemParams(0.75, 1.0, 1.0, drive, 8))
+            g2 = g2_regression(system, grid).values[-grid.n_samples :]
+            gaps.append(np.abs(g2 - h_regression(system, grid).values ** 2).max())
+        assert gaps == pytest.approx([3.92e-3, 1.56e-2, 9.44e-2], rel=0.05)
+        assert np.polyfit(np.log(drives), np.log(gaps), 1)[0] == pytest.approx(2.0, abs=0.1)
+
     @pytest.mark.parametrize("dt", [0.2, 0.25])
     def test_coarse_grid_matches_fine_grid(self, dt):
         system = build_system(SystemParams(3.0, 1.0, 1.0, 0.1, 8))
