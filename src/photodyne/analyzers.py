@@ -177,6 +177,29 @@ def _lag_bins(halfwidth: float, bin_width: float | None, dt: float):
     return k, starts, lengths, (bins[starts] + 0.5) * m * dt
 
 
+def _window_sums(samples: np.ndarray, k: int, starts: np.ndarray, lengths: np.ndarray):
+    """Every lag bin's sum at every trigger position.
+
+    For each distinct bin length L, the sums of all runs of L consecutive
+    samples sit end to end in one table. Each sum adds the first sample onto
+    the left-to-right sum of the others, the order reduceat takes on a bin of
+    up to eight samples, so such bins give the same bits either way. Returns
+    the table and each bin's offset into it from a trigger's center sample.
+    """
+    n = samples.size
+    distinct = sorted(set(lengths.tolist()))
+    table = np.empty(sum(n - L + 1 for L in distinct))
+    base, pos = {}, 0
+    for L in distinct:
+        run = table[pos : pos + n - L + 1]
+        first, *rest = [*range(1, L), 0]
+        np.copyto(run, samples[first : first + run.size])
+        for j in rest:
+            run += samples[j : j + run.size]
+        base[L], pos = pos, pos + run.size
+    return table, np.array([base[L] for L in lengths.tolist()]) + starts - k
+
+
 def segment_sums(
     trigger_times: np.ndarray,
     current: PhotocurrentRecord,
@@ -191,6 +214,12 @@ def segment_sums(
     bin, so the returned spread is across triggers even when neighboring
     samples are correlated. Bin edges align at lag zero.
 
+    Sparse triggers gather their 2k+1 samples each and pool them per bin.
+    Where the segments hold more samples than one pass of window sums over
+    the record (n samples times the summed distinct bin lengths), each bin's
+    sum is formed at every position once and one value per trigger and bin
+    is gathered; the two agree to rounding.
+
     Returns (lags, sums, sumsqs, n_used).
     """
     grid = current.grid
@@ -200,12 +229,21 @@ def segment_sums(
         np.round((np.asarray(trigger_times) - grid.t_start) / grid.dt), dtype=int
     )
     centers = centers[(centers >= k) & (centers <= n - 1 - k)]
+    if centers.size * (2 * k + 1) > n * sum(set(lengths.tolist())):
+        table, offs = _window_sums(current.samples, k, starts, lengths)
+
+        def bin_sums(c):
+            return table[c[:, None] + offs]
+    else:
+        offs = np.arange(-k, k + 1)
+
+        def bin_sums(c):
+            return np.add.reduceat(current.samples[c[:, None] + offs], starts, axis=1)
+
     sums = np.zeros(starts.size)
     sumsqs = np.zeros(starts.size)
-    offs = np.arange(-k, k + 1)
     for i in range(0, centers.size, _TRIGGER_CHUNK):
-        seg = current.samples[centers[i : i + _TRIGGER_CHUNK, None] + offs]
-        pooled = np.add.reduceat(seg, starts, axis=1) / lengths
+        pooled = bin_sums(centers[i : i + _TRIGGER_CHUNK]) / lengths
         sums += pooled.sum(axis=0)
         sumsqs += (pooled**2).sum(axis=0)
     return lags, sums, sumsqs, int(centers.size)

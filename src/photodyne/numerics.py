@@ -24,6 +24,8 @@ __all__ = [
 ]
 
 _TAYLOR = [1.0 / math.factorial(k) for k in range(20)]
+# samples per slab of whole recurrence blocks
+_RECURRENCE_SLAB = 1 << 15
 
 
 @functools.cache
@@ -147,19 +149,43 @@ def _stream_batches(n_traj: int, batch_size: int, first_stream: int = 0) -> list
 def first_order_recurrence(a: float, drive, y0: complex = 0.0) -> np.ndarray:
     """y[n] = a y[n-1] + drive[n] with y[-1] = y0, for 0 < a < 1.
 
-    Block-vectorized: inside a block y[i+j] = a^j (y[i-1] + sum a^-m drive[m]),
-    the block short enough that a^(-block) stays far from overflow. The output
-    is complex when drive or y0 is.
+    Block-parallel: inside a block of b samples starting at i,
+    y[i+j] = a^(j+1) (y[i-1] + c[j]) with c[j] = sum_{m<=j} a^-(m+1) drive[i+m],
+    the block short enough that a^(-b) stays far from overflow. Whole blocks
+    are divided by the powers and cumsummed as the rows of one array, a slab
+    of rows at a time so the temporaries stay cache-sized; only the value
+    carried into each block is a scalar loop, prev = a^b (prev + c[b-1]).
+    That is the operation, on the same operands, that gives the block's last
+    output, and a cumsum adds its row left to right whatever the row count,
+    so for float64 and complex128 output (every caller's) each bit equals
+    that of the block-by-block form. The carry runs on Python floats, or on
+    complexes for complex output as numpy promotes, so single-precision
+    output would round it differently. A partial last block takes its own
+    powers, as a lone block would. The output is complex when drive or y0 is.
     """
     drive = np.asarray(drive)
     out = np.empty(drive.size, dtype=np.result_type(drive, y0))
     block = max(1, min(8192, int(-60.0 / math.log(a))))
-    prev = y0
-    for i in range(0, drive.size, block):
-        seg = drive[i : i + block]
-        powers = a ** np.arange(1, seg.size + 1)
-        out[i : i + seg.size] = powers * (prev + np.cumsum(seg / powers))
-        prev = out[i + seg.size - 1]
+    full = drive.size // block
+    prev = out.dtype.type(y0).item()
+    if full:
+        powers = a ** np.arange(1, block + 1)
+        last = out.dtype.type(powers[-1]).item()
+        rows = max(1, _RECURRENCE_SLAB // block)
+        for r0 in range(0, full, rows):
+            lo, hi = r0 * block, min(full, r0 + rows) * block
+            c = drive[lo:hi].reshape(-1, block) / powers
+            np.cumsum(c, axis=1, out=c)
+            starts = []
+            for end in c[:, -1].astype(out.dtype).tolist():
+                starts.append(prev)
+                prev = last * (prev + end)
+            c = c + np.array(starts, dtype=out.dtype)[:, None]
+            np.multiply(powers, c, out=out[lo:hi].reshape(-1, block))
+    lo = full * block
+    if lo < drive.size:
+        powers = a ** np.arange(1, drive.size - lo + 1)
+        out[lo:] = powers * (out.dtype.type(prev) + np.cumsum(drive[lo:] / powers))
     return out
 
 

@@ -458,12 +458,14 @@ def load_photocurrent(path) -> PhotocurrentRecord:
 
 
 def write_table(path, meta: dict, header: str, columns) -> None:
-    """Generic '#'-meta CSV used by the series formats (tau,value,... etc)."""
+    """Generic '#'-meta CSV used by the series formats (tau,value,... etc);
+    refuses columns of unequal length."""
     cols = [np.asarray(c, dtype=float) for c in columns]
-    n = min((c.size for c in cols), default=0)
+    if len({c.size for c in cols}) > 1:
+        raise ValueError(f"{path}: columns differ in length: {[c.size for c in cols]}")
     with open(path, "wb") as fh:
         fh.write(_header(meta) + (header + "\n").encode())
-        _write_rows(fh, *(_chunks(c[:n]) for c in cols))
+        _write_rows(fh, *(_chunks(c) for c in cols))
 
 
 def read_table(path) -> tuple[dict, str, list[np.ndarray]]:

@@ -143,29 +143,40 @@ class TestSegmentSums:
         with pytest.raises(ValueError, match="halfwidth"):
             segment_sums(np.array([0.5]), cur, 0.01)
 
+    # (bin_width, trigger sample indices) on 400 samples at dt 0.1 with
+    # k = 25; "edges" are the first and last usable centers, k and n-1-k
+    _POOLING_INPUTS = {
+        "stock": (0.4, [100, 200, 250]),
+        "short_edge_bins": (0.7, [25, 100, 374]),  # bins of 4, 7 and 5 samples
+        "unpooled": (None, [25, 374]),
+        # segments cover more samples than the window-sum pass: pooled from
+        # window sums rather than per-trigger gathers
+        "dense": (0.7, [25, 374, *np.random.default_rng(6).integers(25, 375, 200)]),
+        "dense_unpooled": (None, [25, 374, *np.random.default_rng(7).integers(25, 375, 40)]),
+        "dense_quarter_bins": (0.4, [25, 374, *np.random.default_rng(8).integers(25, 375, 200)]),
+    }
+
     def test_pooling_matches_manual_grouping(self):
-        # dual route: reduceat pooling vs explicit floor-division grouping
-        rng = np.random.default_rng(5)
-        samples = rng.normal(size=400)
+        # dual route: the pooled sums against explicit floor-division grouping
+        samples = 3.0 + np.random.default_rng(5).normal(size=400)
         cur = _current(samples, dt=0.1)
-        triggers = np.array([10.0, 20.0, 25.0])
-        k, m = 25, 4
-        lags, sums, sumsqs, n = segment_sums(triggers, cur, 2.5, bin_width=0.4)
-        assert n == 3
-        fine = np.arange(-k, k + 1)
-        groups = np.floor_divide(fine, m)
-        man_sums = np.zeros(lags.size)
-        man_sq = np.zeros(lags.size)
-        for t in triggers:
-            c = int(round(t / 0.1))
-            seg = samples[c - k : c + k + 1]
-            means = [seg[groups == gg].mean() for gg in np.unique(groups)]
-            man_sums += means
-            man_sq += np.square(means)
-        assert np.allclose(sums, man_sums)
-        assert np.allclose(sumsqs, man_sq)
-        # edges align at zero: centers sit at half-bin offsets
-        assert np.allclose(lags[groups[groups >= 0].argmin() + np.unique(groups).size // 2], 0.2)
+        k = 25
+        for name, (bin_width, centers) in self._POOLING_INPUTS.items():
+            m = 1 if bin_width is None else int(round(bin_width / 0.1))
+            lags, sums, sumsqs, n = segment_sums(np.array(centers) * 0.1, cur, 2.5, bin_width=bin_width)
+            assert n == len(centers), name
+            groups = np.floor_divide(np.arange(-k, k + 1), m)
+            man_sums = np.zeros(lags.size)
+            man_sq = np.zeros(lags.size)
+            for c in centers:
+                seg = samples[c - k : c + k + 1]
+                means = np.array([seg[groups == g].mean() for g in np.unique(groups)])
+                man_sums += means
+                man_sq += means**2
+            np.testing.assert_allclose(sums, man_sums, rtol=1e-12, err_msg=name)
+            np.testing.assert_allclose(sumsqs, man_sq, rtol=1e-12, err_msg=name)
+            # edges align at zero: centers sit at half-bin offsets
+            np.testing.assert_allclose(lags, (np.unique(groups) + 0.5) * m * 0.1, rtol=1e-12, err_msg=name)
 
 
 class TestEstimateH:

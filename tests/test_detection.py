@@ -1,5 +1,6 @@
 """Click sampling, homodyne current synthesis, and noise-width predictions."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from photodyne.detection import (
     predict_noise_widths,
     run_semiclassical_correlator,
     sample_counts,
+    semiclassical_record,
 )
 from photodyne.fields import FieldModel, LocalOscillator, generate_path, mix_with_local_oscillator
 from photodyne.numerics import RngStream, TimeGrid, first_order_recurrence
@@ -175,6 +177,50 @@ class TestBhdCurrent:
         cur = bhd_difference_current(flat, flat, grid, 0.3, RngStream(74, 0))
         assert cur.bandwidth == 0.3
         assert cur.grid == grid
+
+
+# sha256 of the timestamp and current bytes of one semiclassical record
+# (path, clicks, then the two homodyne ports on one stream) per source,
+# 2,000 time units at dt 0.05, LO amplitude 8, bandwidth 2. Taken from the
+# block-by-block recurrence and mask-trimmed thinning; any faster path must
+# keep them. numpy's vectorized transcendental functions may round
+# differently on another CPU family or numpy build.
+RECORD_DIGESTS = {
+    "coherent": (
+        FieldModel(kind="coherent", amplitude=2.0),
+        {},
+        4018,
+        "336e81c25ecca1616f585e5b85bbd9aba6c525a0c82fb7059481e71fe4a8210f",
+        "5ee6f585f59e20844204c3e9bf162c7a4e0d0d2022651dac636414e1e7c2dcfe",
+    ),
+    "thermal_ou": (
+        FieldModel(kind="thermal_ou", mean_intensity=4.0, tau_c=2.0),
+        {},
+        3869,
+        "fe5ed5f6768ab7205888022d25d602b2a80d09d2e427f83a1238f3edf277236d",
+        "2a72e3cac5c66236429f7658293092db45d1cec119168b057e738b39dbb207c8",
+    ),
+    "positive_bursts": (
+        FieldModel(kind="modulated_burst", amplitude=1.0, burst_rate=0.05, burst_freq=1.5,
+                   burst_decay=0.35, burst_amp=3.0),
+        dict(efficiency=0.6, dark_rate=0.05, dead_time=0.1),
+        1083,
+        "3159da792b7b231646165a9e427ad204b545e6d5eb19f728063cb962a4da39a0",
+        "40347dde5eea9169ef8e365e9e350fc5f15a4ca6c71f8125e2d20aa75bc32035",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORD_DIGESTS))
+def test_record_bytes_frozen(name):
+    model, detector, n_clicks, counts_sha, current_sha = RECORD_DIGESTS[name]
+    stream = RngStream(2026, list(RECORD_DIGESTS).index(name))
+    counts, current = semiclassical_record(
+        model, LocalOscillator(8.0, 0.0), TimeGrid(0.0, 0.05, 40_000), stream, 2.0, **detector
+    )
+    assert counts.n_events == n_clicks
+    assert hashlib.sha256(counts.timestamps.tobytes()).hexdigest() == counts_sha
+    assert hashlib.sha256(current.samples.tobytes()).hexdigest() == current_sha
 
 
 class TestPredictNoiseWidths:

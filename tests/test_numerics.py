@@ -1,11 +1,21 @@
 """Grid, stream, integrator, and recurrence behavior."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photodyne import numerics
-from photodyne.numerics import RngStream, TimeGrid, integrate_linear_ode, single_blas_thread
+from photodyne.numerics import (
+    RngStream,
+    TimeGrid,
+    first_order_recurrence,
+    integrate_linear_ode,
+    single_blas_thread,
+)
 
 
 class TestTimeGrid:
@@ -97,6 +107,52 @@ class TestIntegrateLinearOde:
         g = np.array([[1e8 + 0j]])
         with pytest.raises(FloatingPointError):
             integrate_linear_ode(g, np.array([1.0 + 0j]), 1.0, 400)
+
+
+def _block_by_block_recurrence(a, drive, y0=0.0):
+    """Reference: the recurrence one block at a time, each block's powers,
+    cumsum and product formed on their own."""
+    drive = np.asarray(drive)
+    out = np.empty(drive.size, dtype=np.result_type(drive, y0))
+    block = max(1, min(8192, int(-60.0 / math.log(a))))
+    prev = y0
+    for i in range(0, drive.size, block):
+        seg = drive[i : i + block]
+        powers = a ** np.arange(1, seg.size + 1)
+        out[i : i + seg.size] = powers * (prev + np.cumsum(seg / powers))
+        prev = out[i + seg.size - 1]
+    return out
+
+
+class TestFirstOrderRecurrence:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        a=st.floats(1e-4, 0.99999),
+        blocks=st.integers(0, 3),
+        remainder=st.floats(0.0, 1.0, exclude_max=True),
+        complex_drive=st.booleans(),
+        sparse=st.booleans(),
+        y0=st.one_of(
+            st.just(0.0),
+            st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bits_equal_the_block_by_block_form(
+        self, a, blocks, remainder, complex_drive, sparse, y0, seed
+    ):
+        block = max(1, min(8192, int(-60.0 / math.log(a))))
+        n = blocks * block + int(remainder * block)
+        rng = np.random.default_rng(seed)
+        drive = rng.normal(size=n)
+        if complex_drive:
+            drive = drive + 1j * rng.normal(size=n)
+        if sparse:  # homodyne impulses: mostly (signed) zeros
+            drive = drive * (rng.random(n) < 0.1)
+        got = first_order_recurrence(a, drive, y0)
+        ref = _block_by_block_recurrence(a, drive, y0)
+        assert got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_single_blas_thread_holds_one_thread_and_restores():

@@ -110,6 +110,13 @@ def test_write_read_table(tmp_path):
     assert np.array_equal(cols[1], b)
 
 
+def test_write_table_refuses_ragged_columns(tmp_path):
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match="differ in length"):
+        write_table(path, {}, "a,b", [[1.0, 2.0, 3.0], [4.0]])
+    assert not path.exists()
+
+
 # The codec: exact against '%.16e' % x and float() -----------------------
 
 from fractions import Fraction  # noqa: E402
