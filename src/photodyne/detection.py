@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 THINNING_MARGIN = 1.1
+# candidates thinned per piece: uniforms and rates of one piece at a time
+THINNING_PIECE = 1 << 16
 # samples per independent stationary realization in the correlator
 CORRELATOR_CHUNK = 1_000_000
 
@@ -53,6 +55,23 @@ class NoiseWidthPrediction:
             raise ValueError("widths must be >= 0")
 
 
+def _candidate_times(stream: RngStream, majorant: float, t0: float, t1: float) -> np.ndarray:
+    """Homogeneous Poisson times at rate majorant inside [t0, t1): one block
+    of gaps covering 1.25x the expected count, then blocks of 256, each
+    summed in place on its draw buffer."""
+    blocks = []
+    t = t0
+    block = max(64, int(majorant * (t1 - t0) * 1.25) + 64)
+    while t < t1:
+        ts = stream.exponential(1.0 / majorant, block)
+        np.cumsum(ts, out=ts)
+        ts += t
+        blocks.append(ts[: np.searchsorted(ts, t1)])
+        t = ts[-1]
+        block = 256
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
 def sample_counts(
     intensity,
     grid: TimeGrid,
@@ -68,6 +87,15 @@ def sample_counts(
     samples. The efficiency/dark/dead-time hooks default to the ideal
     detector and are applied as rate scaling, additive background, and
     post-hoc pruning respectively.
+
+    Draw order on the stream: the candidates' exponential gaps (one block
+    covering 1.25x the expected count, then blocks of 256 until the window
+    is passed), then one uniform per candidate in time order. Memory: the
+    gaps are summed in place on their draw buffer, and the candidates are
+    thinned THINNING_PIECE at a time (that piece's uniforms, scaled in
+    place, against its interpolated rates) into one boolean mask, so beyond
+    the input the call holds the candidate times, their mask and the kept
+    times, and the candidates are freed before the record is built.
     """
     rate = np.asarray(intensity, dtype=float)
     if rate.size != grid.n_samples:
@@ -83,21 +111,16 @@ def sample_counts(
     if majorant <= 0.0:
         return CountRecord(np.empty(0), t0, t1)
 
-    blocks = []
-    t = t0
-    block = max(64, int(majorant * (t1 - t0) * 1.25) + 64)
-    while t < t1:
-        ts = np.cumsum(stream.exponential(1.0 / majorant, block))
-        ts += t
-        blocks.append(ts[: np.searchsorted(ts, t1)])
-        t = ts[-1]
-        block = 256
-    cand = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    if cand.size == 0:
-        return CountRecord(np.empty(0), t0, t1)
-    u = stream.uniform(cand.size)
-    local = np.interp(cand, grid.times, rate)
-    kept = np.compress(u * majorant < local, cand)  # a boolean index, at a third of its cost
+    cand = _candidate_times(stream, majorant, t0, t1)
+    knots = grid.times
+    keep = np.empty(cand.size, dtype=bool)
+    for i in range(0, cand.size, THINNING_PIECE):
+        piece = cand[i : i + THINNING_PIECE]
+        u = stream.uniform(piece.size)
+        u *= majorant
+        np.less(u, np.interp(piece, knots, rate), out=keep[i : i + THINNING_PIECE])
+    kept = np.compress(keep, cand)  # a boolean index, at a third of its cost
+    del cand, keep
 
     if dead_time > 0.0 and kept.size:
         times = kept.tolist()
@@ -107,6 +130,17 @@ def sample_counts(
                 alive.append(tk)
         kept = np.asarray(alive)
     return CountRecord(kept, t0, t1)
+
+
+def _binned(counts: CountRecord, grid: TimeGrid) -> np.ndarray:
+    """Counts per grid bin, clipped to the grid; the record's timestamps
+    become the bin indices in place."""
+    idx = counts.timestamps
+    idx -= grid.t_start
+    idx /= grid.dt
+    idx = idx.astype(int)
+    np.clip(idx, 0, grid.n_samples - 1, out=idx)
+    return np.bincount(idx, minlength=grid.n_samples)
 
 
 def bhd_difference_current(
@@ -123,18 +157,18 @@ def bhd_difference_current(
     through the one-pole low-pass with corner filter_bandwidth. Port 1 drives
     the current positive. DC gain is 1, so the mean output equals the rate
     difference.
+
+    Draw order on the stream: all of port 1's draws (sample_counts), then
+    all of port 2's. Memory: each port is binned right after it is drawn and
+    its timestamps are dropped, so port 1's times are gone before port 2's
+    candidates exist; the impulses are scaled in place.
     """
-    c1 = sample_counts(port1_intensity, grid, stream)
-    c2 = sample_counts(port2_intensity, grid, stream)
-    n = grid.n_samples
-    idx1 = np.clip(((c1.timestamps - grid.t_start) / grid.dt).astype(int), 0, n - 1)
-    idx2 = np.clip(((c2.timestamps - grid.t_start) / grid.dt).astype(int), 0, n - 1)
-    impulses = (
-        np.bincount(idx1, minlength=n).astype(float)
-        - np.bincount(idx2, minlength=n)
-    ) / grid.dt
+    impulses = _binned(sample_counts(port1_intensity, grid, stream), grid).astype(float)
+    impulses -= _binned(sample_counts(port2_intensity, grid, stream), grid)
+    impulses /= grid.dt
     a = math.exp(-2.0 * math.pi * filter_bandwidth * grid.dt)
-    current = first_order_recurrence(a, (1.0 - a) * impulses)
+    impulses *= 1.0 - a
+    current = first_order_recurrence(a, impulses)
     return PhotocurrentRecord(grid, current, filter_bandwidth)
 
 

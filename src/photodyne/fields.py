@@ -92,7 +92,9 @@ class FieldPath:
             raise ValueError("envelope contains non-finite samples")
 
     def intensity(self) -> np.ndarray:
-        return np.abs(self.envelope) ** 2
+        out = np.abs(self.envelope)
+        out *= out
+        return out
 
 
 def _ou_path(ibar: float, tau_c: float, grid: TimeGrid, stream: RngStream) -> np.ndarray:
@@ -108,37 +110,37 @@ def _ou_path(ibar: float, tau_c: float, grid: TimeGrid, stream: RngStream) -> np
 
 
 def _burst_path(model: FieldModel, grid: TimeGrid, stream: RngStream) -> np.ndarray:
+    """Baseline times (1 + the summed burst kernels).
+
+    Draw order: the centers' exponential gaps in blocks of 256 until one
+    passes the padded window, then (symmetric signs) one uniform per center.
+    Each block of gaps is cumsummed in place from the running time, the
+    sums a gap-at-a-time loop makes; the kernels, whose cost is mostly
+    np.cos, are added into the modulation in burst order.
+    """
     pad = _BURST_SUPPORT / model.burst_decay
     lo, hi = grid.t_start - pad, grid.t_end + pad
-    centers = []
+    blocks = []
     t = lo
-    mean_gap = 1.0 / model.burst_rate
-    while True:
-        gaps = stream.exponential(mean_gap, 256)
-        for gap in gaps:
-            t += gap
-            if t >= hi:
-                break
-            centers.append(t)
-        if t >= hi:
-            break
+    while t < hi:
+        ts = stream.exponential(1.0 / model.burst_rate, 256)
+        ts[0] += t
+        np.cumsum(ts, out=ts)
+        blocks.append(ts[: np.searchsorted(ts, hi)])
+        t = ts[-1]
+    centers = np.concatenate(blocks)
+    heights = np.full(centers.size, model.burst_amp)
+    if model.burst_sign == "symmetric":
+        heights[stream.uniform(centers.size) >= 0.5] *= -1.0
+    first = np.maximum(((centers - pad - grid.t_start) / grid.dt).astype(int), 0)
+    stop = np.minimum(((centers + pad - grid.t_start) / grid.dt).astype(int) + 1, grid.n_samples)
     times = grid.times
     mod = np.zeros(grid.n_samples)
-    for tc in centers:
-        s = 1.0
-        if model.burst_sign == "symmetric":
-            s = 1.0 if stream.uniform() < 0.5 else -1.0
-        i0 = max(0, int((tc - pad - grid.t_start) / grid.dt))
-        i1 = min(grid.n_samples, int((tc + pad - grid.t_start) / grid.dt) + 1)
-        if i0 >= i1:
-            continue
+    for tc, height, i0, i1 in zip(centers.tolist(), heights.tolist(), first.tolist(), stop.tolist()):
         dt_k = times[i0:i1] - tc
-        mod[i0:i1] += (
-            s
-            * model.burst_amp
-            * np.exp(-model.burst_decay * np.abs(dt_k))
-            * np.cos(model.burst_freq * dt_k)
-        )
+        kernel = height * np.exp(-model.burst_decay * np.abs(dt_k))
+        kernel *= np.cos(model.burst_freq * dt_k)
+        mod[i0:i1] += kernel
     base = model.amplitude * np.exp(1j * model.phase)
     return base * (1.0 + mod)
 
@@ -165,7 +167,7 @@ def generate_path(model: FieldModel, grid: TimeGrid, stream: RngStream) -> Field
 def split_beam(path: FieldPath) -> tuple[FieldPath, FieldPath]:
     """50/50 split: each output is input/sqrt(2); intensities sum exactly."""
     half = path.envelope / math.sqrt(2.0)
-    return FieldPath(path.grid, half.copy()), FieldPath(path.grid, half.copy())
+    return FieldPath(path.grid, half), FieldPath(path.grid, half.copy())
 
 
 def mix_with_local_oscillator(
@@ -178,6 +180,8 @@ def mix_with_local_oscillator(
     """
     l = lo.envelope
     s = signal.envelope
-    plus = (l + s) / math.sqrt(2.0)
-    minus = (l - s) / math.sqrt(2.0)
+    plus = l + s
+    plus /= math.sqrt(2.0)
+    minus = l - s
+    minus /= math.sqrt(2.0)
     return FieldPath(signal.grid, plus), FieldPath(signal.grid, minus)

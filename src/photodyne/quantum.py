@@ -416,10 +416,13 @@ class _EnsembleEngine:
         # reductions act at the step midpoint: drop the diffusive kick for
         # that step (zero-mean), but keep the drift on both sides of the
         # collapse, otherwise every click skips a full step of drift
+        # one matvec per jumped column: BLAS rounds a column of a product
+        # differently with the number of columns it shares the product with,
+        # and that number must not depend on the batch or the worker count
         if np.count_nonzero(hits):
             for jumped, jump_prop in zip((jump_cav, jump_atom), self.jump_props):
-                if np.count_nonzero(jumped):
-                    new[:, jumped] = jump_prop @ v[:, jumped]
+                for col in np.flatnonzero(jumped).tolist():
+                    new[:, col] = jump_prop @ v[:, col]
         self._steps += 1
         if self._steps % RENORM_EVERY == 0:
             new *= 1.0 / np.sqrt(np.einsum("ib,ib->b", new, new))

@@ -295,6 +295,21 @@ class TestRunCommand:
                 b = (outdir / fmt.format(i)).read_bytes()
                 assert a == b, fmt.format(i)
 
+    def test_jump_products_do_not_depend_on_the_worker_count(self, tmp_path):
+        # 48 trajectories in one batch and in two of 24: when the jumping
+        # columns shared one product, 3 of these currents differed in bits
+        outdirs = []
+        for workers in (1, 2):
+            cfg = ExperimentConfig(seed=1502, duration=100.0, n_trajectories=48, workers=workers)
+            cfg_path = tmp_path / f"w{workers}.ini"
+            cfg_path.write_text(cfg.to_text())
+            outdirs.append(tmp_path / f"out{workers}")
+            assert main(["run", "--config", str(cfg_path), "--outdir", str(outdirs[-1])]) == 0
+        for i in range(48):
+            for fmt in ("counts_{:05d}.txt", "current_{:05d}.csv"):
+                a, b = ((d / fmt.format(i)).read_bytes() for d in outdirs)
+                assert a == b, fmt.format(i)
+
     def test_env_seed_override(self, tmp_path, monkeypatch, capsys):
         cfg_path = tmp_path / "c.ini"
         cfg_path.write_text("[run]\nsource = quantum\nseed = 1\nduration = 2.0\n"

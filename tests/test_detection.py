@@ -2,18 +2,30 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from photodyne import detection
 from photodyne.detection import (
+    THINNING_MARGIN,
+    THINNING_PIECE,
     bhd_difference_current,
     predict_noise_widths,
     run_semiclassical_correlator,
     sample_counts,
     semiclassical_record,
 )
-from photodyne.fields import FieldModel, LocalOscillator, generate_path, mix_with_local_oscillator
+from photodyne.fields import (
+    FieldModel,
+    LocalOscillator,
+    generate_path,
+    mix_with_local_oscillator,
+    split_beam,
+)
 from photodyne.numerics import RngStream, TimeGrid, first_order_recurrence
 
 
@@ -182,9 +194,10 @@ class TestBhdCurrent:
 # sha256 of the timestamp and current bytes of one semiclassical record
 # (path, clicks, then the two homodyne ports on one stream) per source,
 # 2,000 time units at dt 0.05, LO amplitude 8, bandwidth 2. Taken from the
-# block-by-block recurrence and mask-trimmed thinning; any faster path must
-# keep them. numpy's vectorized transcendental functions may round
-# differently on another CPU family or numpy build.
+# block-by-block recurrence, mask-trimmed whole-array thinning and the
+# burst-at-a-time burst path; any faster or leaner path must keep them.
+# numpy's vectorized transcendental functions may round differently on
+# another CPU family or numpy build.
 RECORD_DIGESTS = {
     "coherent": (
         FieldModel(kind="coherent", amplitude=2.0),
@@ -208,6 +221,15 @@ RECORD_DIGESTS = {
         "3159da792b7b231646165a9e427ad204b545e6d5eb19f728063cb962a4da39a0",
         "40347dde5eea9169ef8e365e9e350fc5f15a4ca6c71f8125e2d20aa75bc32035",
     ),
+    # pins the sign draws: one uniform per burst center, after all the gaps
+    "symmetric_bursts": (
+        FieldModel(kind="modulated_burst", amplitude=1.0, burst_rate=0.05, burst_freq=1.5,
+                   burst_decay=0.35, burst_amp=2.0, burst_sign="symmetric"),
+        {},
+        1372,
+        "8e582260f7fec34111f5e254e4058bd6eff00b974c5869218eea92e0f1483e9f",
+        "80bce6fe932182328d75a0ebcf69ea0d141c2ffb594af30db7f7e2be424930c5",
+    ),
 }
 
 
@@ -221,6 +243,105 @@ def test_record_bytes_frozen(name):
     assert counts.n_events == n_clicks
     assert hashlib.sha256(counts.timestamps.tobytes()).hexdigest() == counts_sha
     assert hashlib.sha256(current.samples.tobytes()).hexdigest() == current_sha
+
+
+def _whole_array_counts(intensity, grid, stream, efficiency=1.0, dark_rate=0.0, dead_time=0.0):
+    """The thinning rule on whole arrays: every candidate's uniform in one
+    draw, compared in one pass. Returns (kept times, candidate count)."""
+    rate = efficiency * np.asarray(intensity, dtype=float) + dark_rate
+    t0, t1 = grid.t_start, grid.t_end
+    majorant = THINNING_MARGIN * float(rate.max())
+    blocks, t = [], t0
+    block = max(64, int(majorant * (t1 - t0) * 1.25) + 64)
+    while t < t1:
+        ts = np.cumsum(stream.exponential(1.0 / majorant, block)) + t
+        blocks.append(ts[: np.searchsorted(ts, t1)])
+        t = ts[-1]
+        block = 256
+    cand = np.concatenate(blocks)
+    u = stream.uniform(cand.size)
+    kept = cand[u * majorant < np.interp(cand, grid.times, rate)]
+    if dead_time > 0.0 and kept.size:
+        alive = [kept[0]]
+        for tk in kept[1:]:
+            if tk - alive[-1] >= dead_time:
+                alive.append(tk)
+        kept = np.array(alive)
+    return kept, cand.size
+
+
+def _grid_with_candidates(n_cand, rate_max, key, n_samples=3000):
+    """A grid whose window holds exactly n_cand candidates at majorant
+    1.1 rate_max, for a fresh stream of the given key: its end falls midway
+    between candidate n_cand and the next (one gap block covers both)."""
+    gaps = RngStream(*key).exponential(1.0 / (THINNING_MARGIN * rate_max), n_cand + 1)
+    ts = np.cumsum(gaps)
+    return TimeGrid(0.0, 0.5 * (ts[-2] + ts[-1]) / n_samples, n_samples)
+
+
+DETECTORS = [
+    {},
+    dict(efficiency=0.6, dark_rate=0.05),
+    dict(efficiency=0.8, dark_rate=0.2, dead_time=0.1),
+    dict(dead_time=0.02),
+]
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("pieces", [1, 2])
+@pytest.mark.parametrize("detector", DETECTORS, ids=["ideal", "eff_dark", "eff_dark_dead", "dead"])
+def test_piecewise_thinning_matches_whole_array(pieces, offset, detector):
+    # candidate counts just below, at and just above a multiple of the piece
+    n_cand = pieces * THINNING_PIECE + offset
+    key = (1414, pieces * 3 + offset + 1)
+    shape = 2.0 + np.cos(np.linspace(0.0, 40.0, 3000)) ** 2
+    rate_max = detector.get("efficiency", 1.0) * shape.max() + detector.get("dark_rate", 0.0)
+    grid = _grid_with_candidates(n_cand, rate_max, key)
+    ref_stream, stream = RngStream(*key), RngStream(*key)
+    ref, ref_cand = _whole_array_counts(shape, grid, ref_stream, **detector)
+    rec = sample_counts(shape, grid, stream, **detector)
+    assert ref_cand == n_cand
+    assert rec.timestamps.tobytes() == ref.tobytes()
+    assert stream.uniform() == ref_stream.uniform()  # the same draws consumed
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    piece=st.integers(1, 70),
+    n_samples=st.integers(1, 400),
+    dt=st.floats(0.01, 0.5),
+    level=st.floats(0.1, 20.0),
+    detector=st.sampled_from(DETECTORS),
+    key=st.integers(0, 2**20),
+)
+def test_thinning_does_not_depend_on_the_piece_size(piece, n_samples, dt, level, detector, key):
+    grid = TimeGrid(0.0, dt, n_samples)
+    shape = level * RngStream(key, 1).uniform(n_samples) ** 2
+    ref, _ = _whole_array_counts(shape, grid, RngStream(key, 0), **detector)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detection, "THINNING_PIECE", piece)
+        rec = sample_counts(shape, grid, RngStream(key, 0), **detector)
+    assert rec.timestamps.tobytes() == ref.tobytes()
+
+
+def test_strong_burst_bhd_memory():
+    # traced peak of one strong-burst homodyne call, 400k samples at LO 8:
+    # 98 MB with whole-record thinning, 47 MB thinned in pieces with each port
+    # binned as it is drawn
+    grid = TimeGrid(0.0, 0.05, 400_000)
+    model = FieldModel(kind="modulated_burst", amplitude=1.0, burst_rate=0.05, burst_freq=1.5,
+                       burst_decay=0.35, burst_amp=3.0)
+    stream = RngStream(424243, 1)
+    _, arm = split_beam(generate_path(model, grid, stream))
+    port1, port2 = mix_with_local_oscillator(arm, LocalOscillator(8.0, 0.0))
+    i1, i2 = port1.intensity(), port2.intensity()
+    tracemalloc.start()
+    try:
+        bhd_difference_current(i1, i2, grid, 2.0, stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class TestPredictNoiseWidths:
