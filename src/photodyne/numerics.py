@@ -121,13 +121,34 @@ class RngStream:
         """U(0,1) draw(s): scalar when n is None, else array of n."""
         return self._gen.random() if n is None else self._gen.random(n)
 
-    def gaussian(self, n: int | None = None):
-        """Standard normal draw(s)."""
+    def gaussian(self, n: int | None = None, out: np.ndarray | None = None):
+        """Standard normal draw(s); out, a float64 array, is filled instead."""
+        if out is not None:
+            return self._gen.standard_normal(out=out)
         return (
             self._gen.standard_normal()
             if n is None
             else self._gen.standard_normal(n)
         )
+
+    def cursor(self, words: int, into: np.random.Generator | None = None) -> np.random.Generator:
+        """A generator on the next `words` 64-bit words of this stream, which
+        skips past them: the cursor's float64 uniforms, one word each, are
+        the ones the stream would have drawn. words is a positive multiple of
+        4, since Philox yields 4 words per counter step: the stream's counter
+        moves words/4 - 1 steps (advance drops the buffered block) and then
+        buffer_pos raw words are thrown away. into, a Philox generator, is
+        repositioned instead of a new one built."""
+        if words <= 0 or words % 4:
+            raise ValueError("words must be a positive multiple of 4")
+        bits = self._gen.bit_generator
+        state = bits.state
+        if into is None:
+            into = np.random.Generator(np.random.Philox(key=state["state"]["key"]))
+        into.bit_generator.state = state
+        bits.advance(words // 4 - 1)
+        bits.random_raw(state["buffer_pos"])
+        return into
 
     def exponential(self, mean: float, n: int | None = None):
         """Exponential draw(s) with the given mean."""

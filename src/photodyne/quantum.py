@@ -45,6 +45,7 @@ __all__ = [
 STEADY_RESIDUAL_TOL = 1e-10
 CUTOFF_POPULATION_TOL = 1e-8
 NOISE_CHUNK = 4096
+NOISE_TILE = 256  # steps of noise held at a time; divides NOISE_CHUNK
 RENORM_EVERY = 32
 
 
@@ -273,10 +274,20 @@ class _EnsembleEngine:
     Cavity output is split: a fraction jump_fraction of kappa feeds the
     counting channel (recorded clicks), the rest feeds homodyne detection at
     phase lo_phase. Atomic decay is an unrecorded jump channel. Per step and
-    per trajectory the draws are two jump uniforms and one Wiener gaussian,
-    pre-drawn in fixed blocks of NOISE_CHUNK steps (uniforms first) from one
-    counter-based stream per trajectory, so results do not depend on
-    batching.
+    per trajectory the draws are two jump uniforms and one Wiener gaussian
+    from one counter-based stream per trajectory, so results do not depend
+    on batching.
+
+    Noise. The draw order is fixed in chunks of NOISE_CHUNK steps: from the
+    stream's position P, NOISE_CHUNK cavity uniforms, then NOISE_CHUNK atom
+    uniforms, then NOISE_CHUNK gaussians, and the next chunk starts where
+    the gaussians stop. Only one tile of NOISE_TILE steps is held. At the
+    start of a chunk each stream hands out two cursors, on its words from P
+    and from P + NOISE_CHUNK (a float64 uniform takes exactly one word), and
+    skips to P + 2 NOISE_CHUNK to draw the gaussians itself; each refill
+    draws one tile from each, so the values are those of a whole-chunk draw
+    and the stream ends where one would leave it. The tile is stored step
+    by step, (NOISE_TILE, 3, batch), so a step reads contiguous rows.
 
     Frame. The engine holds phi = U psi with U = exp(-i theta a^dag a), the
     cavity rotated by the LO phase. There the homodyne kick c a (c = hom_amp
@@ -300,9 +311,10 @@ class _EnsembleEngine:
     is zero or not finite raises FloatingPointError at the next step.
 
     What the frame does not change: the draws, the click rule, the
-    (batch, NOISE_CHUNK) noise arrays and the psi rows (lab frame,
-    normalized). Seeded clicks and atom jumps are those of a lab-frame step;
-    currents differ from it only by rounding.
+    (batch, NOISE_TILE) noise views u_cav, u_atom and dw (column j is step
+    j after a refill) and the psi rows (lab frame, normalized). Seeded
+    clicks and atom jumps are those of a lab-frame step; currents differ
+    from it only by rounding.
 
     A click during step n collapses the state entering step n+1; its
     timestamp is the time of the first post-collapse current sample.
@@ -360,10 +372,14 @@ class _EnsembleEngine:
         self._squares = np.empty((4 * d - 1, b))
         self._kicked = np.empty_like(self.v)
         self._next = np.empty_like(self.v)
-        # cavity uniforms, atom uniforms and Wiener increments per step
-        self._noise = np.empty((3, b, NOISE_CHUNK))
-        self.u_cav, self.u_atom, self.dw = self._noise
-        self._chunk_pos = NOISE_CHUNK
+        # per step of the tile: cavity uniforms, atom uniforms and Wiener
+        # increments, each a contiguous row over the batch
+        self._noise = np.empty((NOISE_TILE, 3, b))
+        self.u_cav, self.u_atom, self.dw = (self._noise[:, k].T for k in range(3))
+        self._rows = np.empty((b, NOISE_TILE))  # one kind of one tile as drawn
+        self._cursors = [(None, None)] * b
+        self._tiles_left = 0
+        self._tile_pos = NOISE_TILE
         self._steps = 0
 
     @property
@@ -379,20 +395,33 @@ class _EnsembleEngine:
         self.v = np.ascontiguousarray(np.concatenate([phi.real, phi.imag], axis=1).T)
 
     def _refill(self) -> None:
-        for i, st in enumerate(self.streams):
-            self._noise[:2, i] = st.uniform(2 * NOISE_CHUNK).reshape(2, NOISE_CHUNK)
-            self.dw[i] = st.gaussian(NOISE_CHUNK)
-        self.dw *= math.sqrt(self.dt)
-        self._chunk_pos = 0
+        """Draw the next tile, opening new cursors when a chunk starts."""
+        if not self._tiles_left:
+            self._cursors = [
+                (st.cursor(NOISE_CHUNK, cav), st.cursor(NOISE_CHUNK, atom))
+                for st, (cav, atom) in zip(self.streams, self._cursors)
+            ]
+            self._tiles_left = NOISE_CHUNK // NOISE_TILE
+        rows = self._rows
+        for k in range(2):
+            for row, cursors in zip(rows, self._cursors):
+                cursors[k].random(out=row)
+            self._noise[:, k] = rows.T
+        for row, st in zip(rows, self.streams):
+            st.gaussian(out=row)
+        rows *= math.sqrt(self.dt)
+        self._noise[:, 2] = rows.T
+        self._tiles_left -= 1
+        self._tile_pos = 0
 
     def step(self):
         """Advance one step. Returns (current_samples, cavity_jump_mask,
         atom_jump_mask)."""
-        if self._chunk_pos >= NOISE_CHUNK:
+        if self._tile_pos == NOISE_TILE:
             self._refill()
-        noise = self._noise[:, :, self._chunk_pos]
+        noise = self._noise[self._tile_pos]
         dw = noise[2]
-        self._chunk_pos += 1
+        self._tile_pos += 1
         v, sq, kicked = self.v, self._squares, self._kicked
         np.multiply(v, v, out=sq[: len(v)])
         np.multiply(v[:-1], v[1:], out=sq[len(v) :])
@@ -501,7 +530,10 @@ def unravel_ensemble(
     disjoint ensemble can be reproduced piecewise. Each trajectory relaxes
     for burn_in time units before its record window opens. store_current
     False keeps only click records; the diffusion noise is still consumed,
-    so the trajectories are identical either way.
+    so the trajectories are identical either way. Noise is drawn a tile of
+    NOISE_TILE steps at a time from three cursors per stream (see
+    _EnsembleEngine): a batch holds 8 KiB of it per trajectory, beside the
+    currents it returns.
     """
     batches = _stream_batches(n_traj, batch_size, first_stream)
     theta = _resolve_lo_phase(system, lo_phase)

@@ -115,6 +115,7 @@ _DECADE = _decade_table()
 _ROWS = 4096
 _BLOCK = 1 << 17  # bytes of text per parsing step
 _TIE = 2.0**-30  # far above the codec's error (~2**-40 of a unit in the 17th digit)
+_FEW = 4096  # bytes of a body below which float() of each field costs less than _values
 _DIGITS4 = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8).view("<u4").ravel()
 _EXP = np.arange(256) - 99  # E in -99..99 at index E + 99; the rest is never written
 _EXP_WORD = (ord("e") + (ord("+") + 2 * (_EXP < 0) << 8)
@@ -347,10 +348,30 @@ def _lines(body) -> bytes:
     return "".join(line + "\n" for line in bytes(body).decode().splitlines() if line.strip()).encode()
 
 
+def _few(body, width: int, columns) -> list[np.ndarray] | None:
+    """_parse of a short body by float() of each field, which gives the same
+    bits; None if a row is ragged or a field is blank, holds a line break or
+    is not a number, so that _parse reads the body and names the fault."""
+    text = bytes(body).decode(errors="replace")
+    *lines, last = text.split("\n")
+    if last or text.splitlines() != lines:
+        return None
+    rows = [line.split(",") for line in lines]
+    if any(len(r) != width for r in rows):
+        return None
+    try:  # float() refuses a blank field
+        return [np.array([float(r[j]) for r in rows]) for j in (range(width) if columns is None else columns)]
+    except ValueError:
+        return None
+
+
 def _parse(body, path, width: int, columns=None) -> list[np.ndarray]:
     """The columns (all by default) of a body of rows of width ','-separated
     numbers, each row ending in '\n'. Blank lines are skipped: a body with
-    a row or field that may hold one is read again through _lines."""
+    a row or field that may hold one is read again through _lines. A body
+    under _FEW bytes goes through _few first."""
+    if len(body) < _FEW and (few := _few(body, width, columns)) is not None:
+        return few
     a = np.frombuffer(body, np.uint8)
     if a.size < 23:
         a = np.concatenate([a, np.zeros(23, np.uint8)])

@@ -65,6 +65,22 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(7, 0).exponential(0.0)
 
+    @pytest.mark.parametrize("prefix", range(5))
+    def test_cursor_reads_the_words_it_skips(self, prefix):
+        a, b = RngStream(9, 4), RngStream(9, 4)
+        a.uniform(prefix)
+        b.uniform(prefix)
+        first = a.cursor(8)
+        second = a.cursor(12, into=np.random.Generator(np.random.Philox()))
+        assert first.random(8).tobytes() == b.uniform(8).tobytes()
+        assert second.random(12).tobytes() == b.uniform(12).tobytes()
+        out = np.empty(6)
+        a.gaussian(out=out)
+        assert out.tobytes() == b.gaussian(6).tobytes()
+        for words in (0, -4, 6):
+            with pytest.raises(ValueError):
+                a.cursor(words)
+
     def test_negative_key_rejected(self):
         with pytest.raises(ValueError):
             RngStream(-1, 0)

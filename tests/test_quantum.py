@@ -6,13 +6,16 @@ existed; they pin the physics, not the implementation.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photodyne import numerics
-from photodyne.numerics import TimeGrid
+from photodyne.numerics import RngStream, TimeGrid
 from photodyne.quantum import (
     DEFAULTS,
     SystemParams,
@@ -27,7 +30,7 @@ from photodyne.quantum import (
     steady_state,
     unravel_ensemble,
 )
-from photodyne.quantum import RENORM_EVERY, _EnsembleEngine
+from photodyne.quantum import NOISE_CHUNK, NOISE_TILE, RENORM_EVERY, _EnsembleEngine
 
 FROZEN_NBAR = 0.0147836
 FROZEN_A = -0.1174j
@@ -76,6 +79,9 @@ FROZEN_RECORDS = {
         ],
     ),
 }
+
+
+_SMALL_SYSTEM = build_system(SystemParams(g=0.75, kappa=1.0, gamma=1.0, drive=0.18, fock_cutoff=3))
 
 
 def _vec(rho):
@@ -447,6 +453,48 @@ class TestUnraveling:
         a_psi = eng.psi @ default_system.a.T
         ref = np.einsum("bi,bi->b", a_psi.conj(), a_psi).real
         assert np.allclose(eng.photon_number(), ref, rtol=1e-13, atol=0.0)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 2**20), st.integers(0, 7))
+    def test_tiles_are_whole_chunk_draws(self, seed, stream_id, prefix):
+        # a prefix of gaussians moves the stream inside its 4-word Philox
+        # block; the cursors must still read what one uniform(2 NOISE_CHUNK)
+        # and one gaussian(NOISE_CHUNK) per chunk would, and leave the stream
+        # where those leave it
+        dt = 0.02
+        eng = _EnsembleEngine(_SMALL_SYSTEM, dt, 0.5, 0.3, seed, range(stream_id, stream_id + 1))
+        ref = RngStream(seed, stream_id)
+        eng.streams[0].gaussian(prefix)
+        ref.gaussian(prefix)
+        tiles = NOISE_CHUNK // NOISE_TILE
+        for _ in range(3):
+            cav, atom = ref.uniform(2 * NOISE_CHUNK).reshape(2, tiles, NOISE_TILE)
+            dw = (ref.gaussian(NOISE_CHUNK) * math.sqrt(dt)).reshape(tiles, NOISE_TILE)
+            for k in range(tiles):
+                eng._refill()
+                assert eng.u_cav[0].tobytes() == cav[k].tobytes()
+                assert eng.u_atom[0].tobytes() == atom[k].tobytes()
+                assert eng.dw[0].tobytes() == dw[k].tobytes()
+        got, want = eng.streams[0]._gen.bit_generator.state, ref._gen.bit_generator.state
+        assert got["buffer_pos"] == want["buffer_pos"]
+        for key in ("counter", "key"):
+            assert np.array_equal(got["state"][key], want["state"][key])
+        assert np.array_equal(got["buffer"], want["buffer"])
+        assert eng.streams[0].gaussian(5).tobytes() == ref.gaussian(5).tobytes()
+
+    def test_noise_memory_is_one_tile(self, default_system):
+        # the engine holds one tile of noise, not a whole chunk: a chunk for
+        # 512 trajectories alone would be 3 * 512 * NOISE_CHUNK doubles, 50 MB
+        _EnsembleEngine(default_system, 0.02, 0.5, 0.3, 3, range(2)).step()  # lazy imports
+        tracemalloc.start()
+        try:
+            eng = _EnsembleEngine(default_system, 0.02, 0.5, 0.3, 3, range(512))
+            for _ in range(NOISE_CHUNK + 5):
+                eng.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     @pytest.mark.parametrize("name", sorted(FROZEN_RECORDS))
     def test_records_frozen(self, name):

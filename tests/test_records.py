@@ -120,6 +120,7 @@ def test_write_table_refuses_ragged_columns(tmp_path):
 # The codec: exact against '%.16e' % x and float() -----------------------
 
 from fractions import Fraction  # noqa: E402
+from unittest import mock  # noqa: E402
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
@@ -213,6 +214,50 @@ _texts = st.one_of(
 def test_parse_of_any_float_text_is_float(texts):
     expected = np.array([float(t) for t in texts])
     assert _parse("".join(t + "\n" for t in texts)).tobytes() == expected.tobytes()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(_texts, min_size=1, max_size=40))
+def test_codec_of_short_bodies_is_float(texts):
+    # bodies under records._FEW bytes are read by float() of each field;
+    # the codec, which reads longer ones, must give the same bits on them
+    expected = np.array([float(t) for t in texts])
+    with mock.patch.object(records, "_FEW", 0):
+        assert _parse("".join(t + "\n" for t in texts)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("rows", [0, 1, 10])
+def test_few_rows_read_as_float_of_each_field(tmp_path, rows):
+    # as written, and one hand-written field in the longest body
+    fields = ["%.16e" % x for x in RngStream(4, rows).uniform(rows) * 50.0]
+    fields[3:4] = ["7.5"] * (rows > 3)
+    expected = np.array([float(f) for f in fields])
+    path = tmp_path / "counts.txt"
+    path.write_text("# t0=0\n# t1=50\n" + "".join(f + "\n" for f in sorted(fields, key=float)))
+    assert load_count_record(path).timestamps.tobytes() == np.sort(expected).tobytes()
+    if rows:  # a table must have rows
+        path = tmp_path / "table.csv"
+        path.write_text("tau,value\n" + "".join(f"{k},{f}\n" for k, f in enumerate(fields)))
+        _, _, (tau, value) = read_table(path)
+        assert tau.tobytes() == np.arange(rows, dtype=float).tobytes()
+        assert value.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("text, width, message", [
+    ("1.0\n2.0,3.0\n", 1, "data row 2 has 2 fields, not 1"),
+    ("1.0\n\n2.0\nx\n", 1, "data row 3: 'x' is not a number"),
+    ("1.0\x0c,2.0\n", 2, "data row 1 has 1 fields, not 2"),  # \x0c ends a line for str.splitlines
+    ("1.0\n\x0c\n2.0\n \n", 1, None),
+    ("1.0\n\x1c2.0\n", 1, None),
+])
+def test_few_rows_keep_the_messages_and_blank_lines(text, width, message):
+    for few in (records._FEW, 0):
+        with mock.patch.object(records, "_FEW", few):
+            if message:
+                with pytest.raises(ValueError, match=message):
+                    records._parse(text.encode(), "mem", width)
+            else:
+                assert records._parse(text.encode(), "mem", width)[0].tolist() == [1.0, 2.0]
 
 
 def test_hand_edited_files_read_as_float_of_each_field(tmp_path):
