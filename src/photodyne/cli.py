@@ -5,8 +5,8 @@ analyze (estimate correlations from records), compare (Monte Carlo against
 regression curves), audit (classical-bound verdicts on saved series).
 
 run: trajectory k draws from the random stream (seed, k). The ids are split
-into contiguous ranges of ceil(n_trajectories / workers) by the rule the
-quantum engine batches by (numerics._stream_batches). For each range,
+into contiguous ranges of 8 ceil(n_trajectories / (8 workers)) by the rule
+the quantum engine batches by (numerics._stream_batches). For each range,
 _records yields (traj_id, counts, current) from unravel_ensemble or
 semiclassical_record, and _write_records saves them as counts_<id>.txt and
 current_<id>.csv, in process or in a pool worker; the files do not depend on
@@ -43,7 +43,7 @@ from .analyzers import (
     squeezing_spectrum,
 )
 from .blackbody import sample_report
-from .config import ConfigError, DataError, ExperimentConfig, RunManifest
+from .config import ConfigError, DataError, ExperimentConfig, RunManifest, _from_config
 from .detection import semiclassical_record
 from .fields import FieldModel, LocalOscillator
 from .numerics import RngStream, TimeGrid, _stream_batches
@@ -59,11 +59,7 @@ from .records import (
 
 _COUNTS_FMT = "counts_{:05d}.txt"
 _CURRENT_FMT = "current_{:05d}.csv"
-
-
-def _from_config(cls, cfg: ExperimentConfig):
-    """Build a parameter dataclass from the config fields of the same names."""
-    return cls(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(cls)})
+_TABLES = ("g2.csv", "h.csv", "squeezing.csv")  # what analyze writes beside report.json
 
 
 def _lo_phase(cfg: ExperimentConfig) -> float | None:
@@ -106,7 +102,10 @@ def _write_records(cfg: ExperimentConfig, outdir: Path, theta: float | None, ids
 
 def _run_records(cfg: ExperimentConfig, outdir: Path) -> None:
     theta, n_traj = _lo_phase(cfg), cfg.n_trajectories
-    shares = _stream_batches(n_traj, math.ceil(n_traj / cfg.workers))
+    # shares start at multiples of 8 trajectories: BLAS computes the
+    # remainder columns of the step product with other kernels, so a
+    # trajectory's current keeps its bits only at the same column offset mod 8
+    shares = _stream_batches(n_traj, 8 * math.ceil(n_traj / (8 * cfg.workers)))
     if cfg.workers == 1:
         _write_records(cfg, outdir, theta, shares[0])
         return
@@ -140,6 +139,8 @@ def _cmd_run(args) -> int:
         print(f"environment override: {key} = {val}")
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    for name in (*_TABLES, "report.json", "compare.json", "audit.json"):
+        (outdir / name).unlink(missing_ok=True)  # a previous run's analysis
     (outdir / "config.ini").write_text(cfg.to_text())
     _run_records(cfg, outdir)
     names = ["config.ini"]
@@ -221,7 +222,7 @@ def _cmd_analyze(args) -> int:
         top = cfg.max_frequency if cfg.max_frequency > 0 else 0.5 * math.pi / cfg.bin_width
         spectrum = squeezing_spectrum(h, np.linspace(0.0, top, cfg.n_frequencies))
     report_audit = audit_classical_bounds(g2, h)
-    for name in ("g2.csv", "h.csv", "squeezing.csv"):
+    for name in _TABLES:
         (indir / name).unlink(missing_ok=True)  # a previous run's
     g2_peak = dip_omega = dip_value = None
     if g2 is not None:

@@ -14,7 +14,9 @@ import os
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 
-from .fields import BURST_SIGNS, MODEL_KINDS
+from .analyzers import _lag_bins, _PairCounts
+from .fields import BURST_SIGNS, MODEL_KINDS, FieldModel, LocalOscillator
+from .quantum import SystemParams
 
 __all__ = [
     "ConfigError",
@@ -38,6 +40,11 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """Missing or inconsistent input data; maps to exit code 3."""
+
+
+def _from_config(cls, cfg: "ExperimentConfig"):
+    """Build a parameter dataclass from the config fields of the same names."""
+    return cls(**{f.name: getattr(cfg, f.name) for f in dc_fields(cls)})
 
 
 def _opens(section: str, default):
@@ -105,6 +112,18 @@ class ExperimentConfig:
             raise ConfigError("run.jump_fraction must be inside [0, 1]")
         if self.seed < 0:
             raise ConfigError("run.seed must be >= 0")
+        # the rules of the objects run and analyze build from these keys
+        for section, build in (
+            ("system", lambda: _from_config(SystemParams, self)),
+            ("field", lambda: _from_config(FieldModel, self)),
+            ("detection", lambda: LocalOscillator(self.lo_amplitude, self.lo_phase)),
+            ("analysis", lambda: (_PairCounts(self.max_lag, self.bin_width),
+                                  _lag_bins(self.halfwidth, self.bin_width, self.dt))),
+        ):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {exc}") from None
 
     def to_text(self) -> str:
         by_section: dict[str, list[str]] = {}

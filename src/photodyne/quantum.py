@@ -275,8 +275,10 @@ class _EnsembleEngine:
     counting channel (recorded clicks), the rest feeds homodyne detection at
     phase lo_phase. Atomic decay is an unrecorded jump channel. Per step and
     per trajectory the draws are two jump uniforms and one Wiener gaussian
-    from one counter-based stream per trajectory, so results do not depend
-    on batching.
+    from one counter-based stream per trajectory, so clicks and atom jumps
+    do not depend on batching. Currents agree only to rounding: BLAS may
+    compute a column of the step product with other kernels at another
+    batch width or column offset.
 
     Noise. The draw order is fixed in chunks of NOISE_CHUNK steps: from the
     stream's position P, NOISE_CHUNK cavity uniforms, then NOISE_CHUNK atom
@@ -527,7 +529,8 @@ def unravel_ensemble(
     """Yield TrajectoryRecord for n_traj independent trajectories.
 
     Trajectory k uses counter stream first_stream + k, so any contiguous or
-    disjoint ensemble can be reproduced piecewise. Each trajectory relaxes
+    disjoint ensemble can be reproduced piecewise: its clicks exactly, its
+    currents to rounding (see _EnsembleEngine). Each trajectory relaxes
     for burn_in time units before its record window opens. store_current
     False keeps only click records; the diffusion noise is still consumed,
     so the trajectories are identical either way. Noise is drawn a tile of

@@ -15,10 +15,11 @@ float() call per value would give, byte for byte and bit for bit.
   into bytes through a 4-digit lookup table; _text joins the fields.
 - _parse gathers the 17 digits and the exponent of each field in that form
   and scales them by the same table.
-- Both fast paths are exact. A field they do not cover goes through
-  '%.16e' % x or float() on its own: a non-finite value, a 3-digit
-  exponent, a value within the error bound of a rounding tie, and, when
-  reading, any text not in the writer's form (1.5, +7, -2E-3, spaces).
+- Both fast paths are exact. A field they do not cover is left to '%.16e'
+  or float(): a non-finite value, a 3-digit exponent, a value within the
+  error bound of a rounding tie, and, when reading, any text not in the
+  writer's form (1.5, +7, -2E-3, spaces). The writer formats each chunk of
+  _ROWS rows that holds such a field wholly with '%.16e'.
 
 One reader, _read_text, opens every record and series file. A count file's
 header must hold t0 and t1, a current file's t_start, dt, n_samples and
@@ -115,7 +116,6 @@ _DECADE = _decade_table()
 _ROWS = 4096
 _BLOCK = 1 << 17  # bytes of text per parsing step
 _TIE = 2.0**-30  # far above the codec's error (~2**-40 of a unit in the 17th digit)
-_FEW = 4096  # bytes of a body below which float() of each field costs less than _values
 _DIGITS4 = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8).view("<u4").ravel()
 _EXP = np.arange(256) - 99  # E in -99..99 at index E + 99; the rest is never written
 _EXP_WORD = (ord("e") + (ord("+") + 2 * (_EXP < 0) << 8)
@@ -177,6 +177,9 @@ def _encode(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _text(*columns) -> bytes:
     """Rows of the encoded columns' fields, ','-separated and '\n'-terminated."""
     n = columns[0][1].size
+    if any(rest.size for _, _, rest in columns):
+        row = ",".join(["%.16e"] * len(columns)) + "\n"
+        return (row * n % tuple(np.column_stack([x for x, _, _ in columns]).ravel().tolist())).encode()
     # a column without a negative value drops its sign byte, the others mark a
     # positive value's with NUL, which the final replace removes
     widths = [24 if fields["sign"].any() else 23 for _, fields, _ in columns]
@@ -186,17 +189,7 @@ def _text(*columns) -> bytes:
         rows[:, end - w:end] = fields.view(np.uint8).reshape(n, 24)[:, 24 - w:]
         rows[:, end - 1] = ord(",")
     rows[:, -1] = ord("\n")
-    text = rows.tobytes()
-    rest = sorted((r, j) for j, (_, _, idx) in enumerate(columns) for r in idx.tolist())
-    if rest:
-        pieces, pos = [], 0
-        for r, j in rest:
-            start = r * ends[-1] + ends[j] - widths[j]
-            pieces.append(text[pos:start])
-            pos = start + widths[j]
-            pieces.append(("%.16e" % columns[j][0][r]).encode() + text[pos - 1:pos])
-        text = b"".join(pieces) + text[pos:]
-    return text.replace(b"\0", b"")
+    return rows.tobytes().replace(b"\0", b"")
 
 
 def _chunks(values):
@@ -348,30 +341,10 @@ def _lines(body) -> bytes:
     return "".join(line + "\n" for line in bytes(body).decode().splitlines() if line.strip()).encode()
 
 
-def _few(body, width: int, columns) -> list[np.ndarray] | None:
-    """_parse of a short body by float() of each field, which gives the same
-    bits; None if a row is ragged or a field is blank, holds a line break or
-    is not a number, so that _parse reads the body and names the fault."""
-    text = bytes(body).decode(errors="replace")
-    *lines, last = text.split("\n")
-    if last or text.splitlines() != lines:
-        return None
-    rows = [line.split(",") for line in lines]
-    if any(len(r) != width for r in rows):
-        return None
-    try:  # float() refuses a blank field
-        return [np.array([float(r[j]) for r in rows]) for j in (range(width) if columns is None else columns)]
-    except ValueError:
-        return None
-
-
 def _parse(body, path, width: int, columns=None) -> list[np.ndarray]:
     """The columns (all by default) of a body of rows of width ','-separated
     numbers, each row ending in '\n'. Blank lines are skipped: a body with
-    a row or field that may hold one is read again through _lines. A body
-    under _FEW bytes goes through _few first."""
-    if len(body) < _FEW and (few := _few(body, width, columns)) is not None:
-        return few
+    a row or field that may hold one is read again through _lines."""
     a = np.frombuffer(body, np.uint8)
     if a.size < 23:
         a = np.concatenate([a, np.zeros(23, np.uint8)])

@@ -297,18 +297,21 @@ class TestRunCommand:
 
     def test_jump_products_do_not_depend_on_the_worker_count(self, tmp_path):
         # 48 trajectories in one batch and in two of 24: when the jumping
-        # columns shared one product, 3 of these currents differed in bits
-        outdirs = []
-        for workers in (1, 2):
-            cfg = ExperimentConfig(seed=1502, duration=100.0, n_trajectories=48, workers=workers)
-            cfg_path = tmp_path / f"w{workers}.ini"
-            cfg_path.write_text(cfg.to_text())
-            outdirs.append(tmp_path / f"out{workers}")
-            assert main(["run", "--config", str(cfg_path), "--outdir", str(outdirs[-1])]) == 0
-        for i in range(48):
-            for fmt in ("counts_{:05d}.txt", "current_{:05d}.csv"):
-                a, b = ((d / fmt.format(i)).read_bytes() for d in outdirs)
-                assert a == b, fmt.format(i)
+        # columns shared one product, 3 of these currents differed in bits.
+        # 100 in one batch and in shares of 50: BLAS gave the remainder
+        # columns of a share other kernels, and 4 currents differed
+        for n in (48, 100):
+            outdirs = []
+            for workers in (1, 2):
+                cfg = ExperimentConfig(seed=1502, duration=100.0, n_trajectories=n, workers=workers)
+                cfg_path = tmp_path / f"w{workers}.ini"
+                cfg_path.write_text(cfg.to_text())
+                outdirs.append(tmp_path / f"out{n}_{workers}")
+                assert main(["run", "--config", str(cfg_path), "--outdir", str(outdirs[-1])]) == 0
+            for i in range(n):
+                for fmt in ("counts_{:05d}.txt", "current_{:05d}.csv"):
+                    a, b = ((d / fmt.format(i)).read_bytes() for d in outdirs)
+                    assert a == b, fmt.format(i)
 
     def test_env_seed_override(self, tmp_path, monkeypatch, capsys):
         cfg_path = tmp_path / "c.ini"
@@ -333,6 +336,16 @@ class TestRunCommand:
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "no.ini")]) == 2
+
+    @pytest.mark.parametrize("section, key", [("system", "kappa = 0.0"), ("system", "fock_cutoff = 1"),
+                                              ("analysis", "bin_width = 0.0")])
+    def test_key_the_library_refuses_exits_2_before_writing(self, tmp_path, capsys, section, key):
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(f"[{section}]\n{key}\n")
+        outdir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--outdir", str(outdir)]) == 2
+        assert f"[{section}]" in capsys.readouterr().err
+        assert not (outdir / "config.ini").exists()
 
 
 class TestAnalyzeCompareAudit:
@@ -375,6 +388,26 @@ class TestAnalyzeCompareAudit:
             assert report["n_records"] == n
         assert len(RunManifest.load(outdir).files) == 1 + 2 * 3
         assert main(["compare", "--indir", str(outdir)]) == 0
+
+    def test_run_clears_the_previous_analysis(self, tmp_path, capsys):
+        # a second run, of other physics, must not be audited or compared
+        # through the first run's series
+        cfg_path = tmp_path / "c.ini"
+        outdir = tmp_path / "out"
+        ini = QUANTUM_INI.replace("duration = 200.0", "duration = 60.0").replace("n_trajectories = 16",
+                                                                                  "n_trajectories = 4")
+        cfg_path.write_text("[system]\ng = 0.0\n\n" + ini)
+        for cmd in ("run", "analyze", "compare", "audit"):
+            assert main([cmd, *(("--config", str(cfg_path), "--outdir") if cmd == "run" else ("--indir",)),
+                         str(outdir)]) == 0
+        cfg_path.write_text(ini.replace("seed = 42", "seed = 9"))
+        assert main(["run", "--config", str(cfg_path), "--outdir", str(outdir)]) == 0
+        for name in ("g2.csv", "h.csv", "squeezing.csv", "report.json", "compare.json", "audit.json"):
+            assert not (outdir / name).exists(), name
+        capsys.readouterr()
+        for cmd in ("audit", "compare"):
+            assert main([cmd, "--indir", str(outdir)]) == 3
+            assert "run analyze first" in capsys.readouterr().err
 
     def test_compare_without_oscillation(self, tmp_path, capsys):
         # at g = 0 the regression g2 is flat: no oscillating pole to report
