@@ -542,6 +542,10 @@ def dominant_oscillation_frequency(values, dt: float, *, stderr=None) -> float:
     level of the Hankel matrix, rms(stderr) (sqrt(rows) + sqrt(cols)), and
     the chosen pole's amplitude must also exceed its least-squares error.
     ValueError when no pole passes.
+
+    Known false alarms, not corrected: that amplitude test is 1 sigma, so
+    a flat g2 of Poisson clicks (rate 2, 2,000 time units, bins of 0.25)
+    has an oscillation named in 16 of 500 series of 12 to 400 bins.
     """
     y = np.asarray(values, dtype=float)
     if y.ndim != 1 or y.size < 8:

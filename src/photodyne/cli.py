@@ -47,7 +47,7 @@ from .config import ConfigError, DataError, ExperimentConfig, RunManifest, _from
 from .detection import semiclassical_record
 from .fields import FieldModel, LocalOscillator
 from .numerics import RngStream, TimeGrid, _stream_batches
-from .quantum import SystemParams, build_system, unravel_ensemble
+from .quantum import SystemParams, build_system, g2_regression, h_regression, unravel_ensemble
 from .records import (
     load_count_record,
     load_photocurrent,
@@ -219,7 +219,7 @@ def _cmd_analyze(args) -> int:
     h = spectrum = None
     if sums.mean_resolved():
         h = sums.series()
-        top = cfg.max_frequency if cfg.max_frequency > 0 else 0.5 * math.pi / cfg.bin_width
+        top = cfg.max_frequency if cfg.max_frequency > 0 else 0.5 * math.pi / h.meta["bin_width"]
         spectrum = squeezing_spectrum(h, np.linspace(0.0, top, cfg.n_frequencies))
     report_audit = audit_classical_bounds(g2, h)
     for name in _TABLES:
@@ -301,23 +301,21 @@ def _pooled_exact_h(cfg: ExperimentConfig, reg: CorrelationSeries, mc: Correlati
 
 
 def _cmd_compare(args) -> int:
-    from .quantum import g2_regression, h_regression
-
     indir = Path(args.indir)
     cfg = _load_config(indir)
     if cfg.source != "quantum":
         raise ConfigError("compare needs a quantum run; semiclassical has no regression twin")
-    for name in ("g2.csv", "h.csv"):
-        if not (indir / name).is_file():
-            raise DataError(f"{name} not found; run analyze first")
+    if not (indir / "g2.csv").is_file():
+        raise DataError("g2.csv not found; run analyze first")
     mc_g2 = _read_series(indir / "g2.csv", "g2")
-    mc_h = _read_series(indir / "h.csv", "h")
+    # analyze skips h when the mean current is consistent with zero
+    mc_h = _read_series(indir / "h.csv", "h") if (indir / "h.csv").is_file() else None
 
     system = build_system(_from_config(SystemParams, cfg))
     n_tau = int(round(cfg.max_lag / cfg.dt)) + 1
     tau_grid = TimeGrid(t_start=0.0, dt=cfg.dt, n_samples=n_tau)
     reg_g2 = g2_regression(system, tau_grid)
-    reg_h = h_regression(system, tau_grid, lo_phase=_lo_phase(cfg))
+    reg_h = None if mc_h is None else h_regression(system, tau_grid, lo_phase=_lo_phase(cfg))
 
     def z_stats(mc: CorrelationSeries, ref: np.ndarray):
         keep = mc.lags >= 0
@@ -337,7 +335,7 @@ def _cmd_compare(args) -> int:
     result = {
         "config_hash": cfg.config_hash(),
         "g2": z_stats(mc_g2, _bin_means(reg_g2, int((mc_g2.lags >= 0).sum()), cfg.bin_width)),
-        "h": z_stats(mc_h, _pooled_exact_h(cfg, reg_h, mc_h)),
+        "h": None if mc_h is None else z_stats(mc_h, _pooled_exact_h(cfg, reg_h, mc_h)),
         "g2_peak_mc": mc_peak,
         "g2_peak_regression": reg_peak,
         "g2_zero_mc": mc_g2.value_at(0.0),
@@ -346,12 +344,11 @@ def _cmd_compare(args) -> int:
     (indir / "compare.json").write_text(
         json.dumps(result, indent=2, sort_keys=True) + "\n"
     )
-    print(
-        f"g2: {result['g2']['n_bins']} bins, max |z| = {result['g2']['max_abs_z']:.2f}; "
-        f"h: {result['h']['n_bins']} bins, max |z| = {result['h']['max_abs_z']:.2f}"
-    )
+    lines = [f"{name}: {z['n_bins']} bins, max |z| = {z['max_abs_z']:.2f}"
+             for name, z in (("g2", result["g2"]), ("h", result["h"])) if z is not None]
+    print("; ".join(lines))
     print(f"wrote {indir / 'compare.json'}")
-    if result["g2"]["n_bins"] == 0 and result["h"]["n_bins"] == 0:
+    if all(z is None or z["n_bins"] == 0 for z in (result["g2"], result["h"])):
         return 4
     return 0
 

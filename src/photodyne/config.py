@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
@@ -104,8 +105,21 @@ class ExperimentConfig:
             raise ConfigError(f"field.burst_sign must be one of {BURST_SIGNS}")
         if self.source not in SOURCES:
             raise ConfigError(f"run.source must be one of {SOURCES}")
+        for (section, key), typ in _KEYS.items():
+            if typ is float and not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"[{section}] {key} must be finite")
         if self.dt <= 0 or self.duration <= 0:
             raise ConfigError("run.dt and run.duration must be > 0")
+        if self.burn_in < 0:
+            raise ConfigError("[run] burn_in must be >= 0")
+        if self.bandwidth <= 0:
+            raise ConfigError("[detection] bandwidth must be > 0")
+        if self.source == "semiclassical" and self.bandwidth > 0.5 / self.dt:
+            raise ConfigError(f"[detection] bandwidth exceeds the Nyquist 0.5 / dt = {0.5 / self.dt}")
+        if not 0.0 <= self.efficiency <= 1.0:
+            raise ConfigError("[detection] efficiency must be inside [0, 1]")
+        if self.dark_rate < 0 or self.dead_time < 0:
+            raise ConfigError("[detection] dark_rate and dead_time must be >= 0")
         if self.n_trajectories < 1 or self.workers < 1:
             raise ConfigError("run.n_trajectories and run.workers must be >= 1")
         if not 0.0 <= self.jump_fraction <= 1.0:

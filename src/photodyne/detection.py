@@ -104,6 +104,8 @@ def sample_counts(
         raise ValueError("negative intensity sample")
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError("efficiency must be in [0, 1]")
+    if dark_rate < 0 or dead_time < 0:
+        raise ValueError("dark_rate and dead_time must be >= 0")
     if efficiency != 1.0 or dark_rate != 0.0:
         rate = efficiency * rate + dark_rate
     t0, t1 = grid.t_start, grid.t_end

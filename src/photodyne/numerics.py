@@ -119,17 +119,11 @@ class RngStream:
 
     def uniform(self, n: int | None = None):
         """U(0,1) draw(s): scalar when n is None, else array of n."""
-        return self._gen.random() if n is None else self._gen.random(n)
+        return self._gen.random(n)
 
     def gaussian(self, n: int | None = None, out: np.ndarray | None = None):
         """Standard normal draw(s); out, a float64 array, is filled instead."""
-        if out is not None:
-            return self._gen.standard_normal(out=out)
-        return (
-            self._gen.standard_normal()
-            if n is None
-            else self._gen.standard_normal(n)
-        )
+        return self._gen.standard_normal(n, out=out)
 
     def cursor(self, words: int, into: np.random.Generator | None = None) -> np.random.Generator:
         """A generator on the next `words` 64-bit words of this stream, which
@@ -154,7 +148,7 @@ class RngStream:
         """Exponential draw(s) with the given mean."""
         if mean <= 0:
             raise ValueError("exponential mean must be positive")
-        return self._gen.exponential(mean) if n is None else self._gen.exponential(mean, n)
+        return self._gen.exponential(mean, n)
 
 
 def _stream_batches(n_traj: int, batch_size: int, first_stream: int = 0) -> list[range]:

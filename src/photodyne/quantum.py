@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analyzers import CorrelationSeries
 from .numerics import RngStream, TimeGrid, _stream_batches, integrate_linear_ode, single_blas_thread
 from .records import CountRecord, PhotocurrentRecord
 
@@ -218,8 +219,6 @@ def g2_regression(system: System, tau_grid: TimeGrid):
     The returned series covers -tau_max..tau_max by even reflection;
     tau_grid must start at 0.
     """
-    from .analyzers import CorrelationSeries
-
     num = system.a.conj().T @ system.a
     g2 = _regression(system, steady_state(system), tau_grid, num)
     lags = np.concatenate([-tau_grid.times[:0:-1], tau_grid.times])
@@ -237,8 +236,6 @@ def h_regression(
     lo_phase defaults to arg<a>_ss. Only tau >= 0 is computable here;
     negative lags exist only in sampled records.
     """
-    from .analyzers import CorrelationSeries
-
     rho_ss = steady_state(system)
     theta = _resolve_lo_phase(system, lo_phase, rho_ss)
     vals = _regression(system, rho_ss, tau_grid, _quadrature(system.a, theta))

@@ -11,8 +11,9 @@ One codec converts the numbers of every record and series file, a whole
 column at a time on uint8 buffers; the text is the same as one '%.16e' or
 float() call per value would give, byte for byte and bit for bit.
 - _encode takes the 17 digits of |x| * 10**(16 - E) from an error-free
-  double-double product (Dekker) against a table of 10**q, and turns them
-  into bytes through a 4-digit lookup table; _text joins the fields.
+  double-double product (Dekker) against a table of 10**q, whose head and
+  tail are rounded from exact integers, and turns them into bytes through
+  a 4-digit lookup table; _text joins the fields.
 - _parse gathers the 17 digits and the exponent of each field in that form
   and scales them by the same table.
 - Both fast paths are exact. A field they do not cover is left to '%.16e'
@@ -49,48 +50,24 @@ def _split(a):
     return hi, a - hi
 
 
-def _two_prod(a, b):
-    """a * b = p + err exactly."""
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_mul(ah, al, bh, bl, e):
-    """(ah + al) * (bh + bl) * 2**e for heads in [1, 2), renormalized to a head in [1, 2)."""
-    p, err = _two_prod(ah, bh)
-    err = err + (ah * bl + al * bh)
-    hi = p + err
-    lo = err - (hi - p)
-    carry = hi >= 2.0
-    half = 1.0 - 0.5 * carry
-    return hi * half, lo * half, e + carry
-
-
 _Q = 340  # 10**q for |q| <= 340 scales every finite double to 17 digits and back
 
 
 def _pow10_table():
-    """10**q = (h + l) * 2**b for q in [-_Q, _Q], h in [1, 2), |l| <= ulp(h) / 2,
-    to about 2**-100 relative: 5**|q| by binary powering, one Newton step for
-    the reciprocal when q < 0, and 2**q folded into b."""
-    q = np.arange(-_Q, _Q + 1)
-    h, l, b = np.ones(q.size), np.zeros(q.size), np.zeros(q.size, dtype=np.int64)
-    ph, pl, pb = 1.25, 0.0, 2  # 5**(2**bit), from 5 = 1.25 * 2**2
-    for bit in range(_Q.bit_length()):
-        sel = (np.abs(q) >> bit) & 1 == 1
-        h[sel], l[sel], b[sel] = _dd_mul(h[sel], l[sel], ph, pl, b[sel] + pb)
-        ph, pl, pb = _dd_mul(ph, pl, ph, pl, 2 * pb)
-    neg = q < 0
-    r = 1.0 / h[neg]  # (h + l) * r = 1 - e, so 1 / (h + l) = r * (1 + e) to O(e**2)
-    p, err = _two_prod(h[neg], r)
-    re = r * (((1.0 - p) - err) - l[neg] * r)
-    hi = r + re
-    lo = re - (hi - r)
-    h[neg], l[neg], b[neg] = _dd_mul(2.0 * hi, 2.0 * lo, 1.0, 0.0, -1 - b[neg])
+    """10**q = (h + l) * 2**b for q in [-_Q, _Q]: 10**q = num / den * 2**b with
+    exact integers num / den in [1, 2), h = num / den and l = num / den - h,
+    each correctly rounded by int / int."""
+    rows = []
+    for q in range(-_Q, _Q + 1):
+        n = 10**abs(q)
+        e = n.bit_length() - 1
+        num, den, b = (n, 1 << e, e) if q >= 0 else (2 << e, n, -1 - e)
+        h = num / den
+        m = int(h * 2**52)
+        rows.append((h, ((num << 52) - m * den) / (den << 52), b))
+    h, l, b = (np.array(c) for c in zip(*rows))
     hh, hl = _split(h)
-    return h, l, hh, hl, b + q
+    return h, l, hh, hl, b
 
 
 _H, _L, _HH, _HL, _B = _pow10_table()

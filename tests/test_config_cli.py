@@ -337,8 +337,15 @@ class TestRunCommand:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "no.ini")]) == 2
 
-    @pytest.mark.parametrize("section, key", [("system", "kappa = 0.0"), ("system", "fock_cutoff = 1"),
-                                              ("analysis", "bin_width = 0.0")])
+    @pytest.mark.parametrize("section, key", [
+        ("system", "kappa = 0.0"), ("system", "fock_cutoff = 1"), ("analysis", "bin_width = 0.0"),
+        # a semiclassical coherent run at dt 0.05, whose Nyquist is 10
+        *(pytest.param("detection", f"{key}\n[field]\nkind = coherent\n[run]\nsource = semiclassical\ndt = 0.05",
+                       id=f"detection-{key}-semiclassical")
+          for key in ("bandwidth = 0", "bandwidth = 50", "efficiency = 1.5", "dark_rate = -0.4", "dead_time = -1")),
+        ("run", "burn_in = -5"), ("system", "g = nan"), ("system", "drive = inf"), ("run", "duration = inf"),
+        ("analysis", "max_lag = inf"), ("run", "burn_in = nan"), ("run", "dt = nan"),
+    ])
     def test_key_the_library_refuses_exits_2_before_writing(self, tmp_path, capsys, section, key):
         cfg_path = tmp_path / "c.ini"
         cfg_path.write_text(f"[{section}]\n{key}\n")
@@ -422,6 +429,21 @@ class TestAnalyzeCompareAudit:
         assert result["g2_peak_regression"] is None
         # the sampled g2 is flat in expectation: its noise poles are not named
         assert result["g2_peak_mc"] is None
+
+    def test_compare_without_h(self, tmp_path, capsys):
+        # 4 short records at the default physics: the mean current is
+        # consistent with zero, so analyze writes g2 but no h
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text("[run]\nduration = 100.0\nn_trajectories = 4\n")
+        outdir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--outdir", str(outdir)]) == 0
+        assert main(["analyze", "--indir", str(outdir)]) == 0
+        assert "h and squeezing skipped" in capsys.readouterr().out
+        assert (outdir / "g2.csv").is_file() and not (outdir / "h.csv").exists()
+        assert main(["compare", "--indir", str(outdir)]) == 0
+        result = json.loads((outdir / "compare.json").read_text())
+        assert result["g2"]["n_bins"] > 0
+        assert result["h"] is None
 
     @pytest.mark.parametrize(
         "bin_width, max_lag", [(0.25, 8.0), (0.1, 6.0)], ids=["partial_last_bin", "edges_on_samples"]
@@ -618,6 +640,17 @@ class TestSemiclassicalPipeline:
         assert report["audit"]["overall"] == "satisfied"
         assert report["g2_zero"] == pytest.approx(1.0, abs=0.2)
 
+    def test_squeezing_band_ends_at_the_h_series_nyquist(self, tmp_path, capsys):
+        # bins of 0.01 are under one step of dt 0.05: h is binned in whole
+        # steps, so its spectrum stops at 0.5 pi / dt, not 0.5 pi / 0.01
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(SEMI_INI.replace("bin_width = 0.5", "bin_width = 0.01"))
+        outdir = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--outdir", str(outdir)]) == 0
+        assert main(["analyze", "--indir", str(outdir)]) == 0
+        omega = read_table(outdir / "squeezing.csv")[2][0]
+        assert omega[-1] == pytest.approx(0.5 * math.pi / 0.05)
+
     def test_compare_rejected_exit_2(self, semi_run, capsys):
         assert main(["compare", "--indir", str(semi_run)]) == 2
 
@@ -689,16 +722,20 @@ class TestVersionFlag:
         assert "photodyne" in capsys.readouterr().out
 
 
-def test_runtime_imports_no_scipy():
-    # numpy is the only runtime dependency; scipy is a test extra
+def test_runtime_imports_only_numpy():
+    # numpy is the only runtime dependency; scipy and hypothesis are test
+    # extras, so an import of them in the package would break a plain install
     src = Path(photodyne.__file__).resolve().parent.parent
     code = (
-        "import sys, photodyne, photodyne.cli\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import photodyne, photodyne.cli\n"
         "try:\n"
         "    photodyne.cli.main(['--version'])\n"
         "except SystemExit:\n"
         "    pass\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(new - set(sys.stdlib_module_names)))\n"
     )
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -709,4 +746,4 @@ def test_runtime_imports_no_scipy():
         check=True,
     )
     assert f"photodyne {photodyne.__version__}" in out.stdout
-    assert out.stdout.splitlines()[-1] == "[]"
+    assert out.stdout.splitlines()[-1] == "['numpy', 'photodyne']"

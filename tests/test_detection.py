@@ -104,6 +104,11 @@ class TestSampleCounts:
             sample_counts(-np.ones(100), grid, RngStream(0, 0))
         with pytest.raises(ValueError):
             sample_counts(np.ones(100), grid, RngStream(0, 0), efficiency=1.5)
+        # a negative background would silently remove clicks
+        with pytest.raises(ValueError):
+            sample_counts(np.ones(100), grid, RngStream(0, 0), dark_rate=-0.4)
+        with pytest.raises(ValueError):
+            sample_counts(np.ones(100), grid, RngStream(0, 0), dead_time=-1.0)
 
 
 class TestOnePole:
