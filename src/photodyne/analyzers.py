@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .numerics import single_blas_thread
 from .records import CountRecord, PhotocurrentRecord
 
 __all__ = [
@@ -418,6 +419,7 @@ def estimate_g2(records, max_lag: float, bin_width: float) -> CorrelationSeries:
     return g2
 
 
+@single_blas_thread
 def squeezing_spectrum(
     h_series: CorrelationSeries,
     frequencies: np.ndarray | None = None,
@@ -527,6 +529,7 @@ def audit_classical_bounds(
     return AuditReport(checks=tuple(checks))
 
 
+@single_blas_thread
 def dominant_oscillation_frequency(values, dt: float, *, stderr=None) -> float:
     """|Im s| of the least-damped strong oscillating pole s of a series.
 

@@ -86,7 +86,8 @@ def sample_counts(
     probability rate(t)/majorant, the rate linearly interpolated between
     samples. The efficiency/dark/dead-time hooks default to the ideal
     detector and are applied as rate scaling, additive background, and
-    post-hoc pruning respectively.
+    post-hoc pruning respectively. A non-finite intensity sample, dark_rate
+    or dead_time raises ValueError before any draw.
 
     Draw order on the stream: the candidates' exponential gaps (one block
     covering 1.25x the expected count, then blocks of 256 until the window
@@ -100,16 +101,20 @@ def sample_counts(
     rate = np.asarray(intensity, dtype=float)
     if rate.size != grid.n_samples:
         raise ValueError("intensity length does not match grid")
+    peak = float(rate.max())
+    if not math.isfinite(peak):
+        raise ValueError("non-finite intensity sample")
     if (rate < 0).any():
         raise ValueError("negative intensity sample")
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError("efficiency must be in [0, 1]")
-    if dark_rate < 0 or dead_time < 0:
-        raise ValueError("dark_rate and dead_time must be >= 0")
+    if not (0.0 <= dark_rate < math.inf and 0.0 <= dead_time < math.inf):
+        raise ValueError("dark_rate and dead_time must be finite and >= 0")
     if efficiency != 1.0 or dark_rate != 0.0:
         rate = efficiency * rate + dark_rate
     t0, t1 = grid.t_start, grid.t_end
-    majorant = THINNING_MARGIN * float(rate.max()) if rate.size else 0.0
+    # rounding is monotone, so this is the scaled rate's largest sample
+    majorant = THINNING_MARGIN * (efficiency * peak + dark_rate)
     if majorant <= 0.0:
         return CountRecord(np.empty(0), t0, t1)
 

@@ -47,12 +47,19 @@ def _openblas_threads():
 def single_blas_thread(func):
     """Run func with OpenBLAS held to one thread, then restore its count.
 
+    The package runs on one BLAS thread. A photodyne CLI process starts
+    OpenBLAS with one thread (cli.py, unless OPENBLAS_NUM_THREADS is set),
+    and every library function with a dense product or a LAPACK call of
+    non-trivial size is wrapped here, so an in-process caller with more
+    threads gets one for the call and its own count back after it.
+
     The quantum engines chain many small dense products. A second BLAS
     thread gains a few percent on an idle host, but its spin-waiting worker
-    stalls the chain several-fold once another process wants the core. BLAS
-    splits a product by rows and columns, never along the summed index, so
-    a product's bits are the same either way; a LAPACK solve's bits are
-    not, so wrapping one makes them the same on every host.
+    burns CPU beside them and stalls the chain several-fold once another
+    process wants the core. BLAS splits a product by rows and columns,
+    never along the summed index, so a product's bits are the same either
+    way; a LAPACK call's bits (a solve, an SVD) are not, so wrapping one
+    makes them the same on every host.
     """
 
     @functools.wraps(func)
@@ -204,6 +211,7 @@ def first_order_recurrence(a: float, drive, y0: complex = 0.0) -> np.ndarray:
     return out
 
 
+@single_blas_thread
 def integrate_linear_ode(
     generator: np.ndarray,
     state: np.ndarray,

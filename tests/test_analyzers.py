@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from photodyne import numerics
 from photodyne.analyzers import (
     AuditCheck,
     AuditReport,
@@ -25,6 +26,7 @@ from photodyne.quantum import (
     TrajectoryRecord,
     build_system,
     g2_regression,
+    h_regression,
     liouvillian,
 )
 from photodyne.records import CountRecord, PhotocurrentRecord
@@ -612,3 +614,30 @@ class TestDominantOscillationFrequency:
         reg = g2_regression(system, TimeGrid(0.0, dt, n))
         w = dominant_oscillation_frequency(reg.values[reg.lags >= 0], dt)
         assert w == pytest.approx(pole, rel=0.01)
+
+
+def test_pencil_and_transform_bits_do_not_depend_on_blas_threads():
+    # a LAPACK call or a large product can round differently on a second
+    # thread (this transform's 401 x 2401 product does); both functions
+    # hold OpenBLAS to one thread, and give the caller's count back
+    blas = numerics._openblas_threads()
+    if blas is None:
+        pytest.skip("no OpenBLAS loaded")
+    strong = build_system(SystemParams(g=3.0, kappa=1.0, gamma=1.0, drive=0.1, fock_cutoff=8))
+    g2 = g2_regression(strong, TimeGrid(0.0, 0.01, 1601))
+    g2 = g2.values[g2.lags >= 0]
+    h = h_regression(build_system(DEFAULTS), TimeGrid(0.0, 0.005, 2401))
+    h = CorrelationSeries(h.lags, h.values, np.full(h.lags.size, 0.01), "h")
+    before = blas[0]()
+    out = []
+    try:
+        for n in (1, 2):
+            blas[1](n)
+            omega = dominant_oscillation_frequency(g2, 0.01)
+            assert blas[0]() == n
+            spectrum = squeezing_spectrum(h)
+            assert blas[0]() == n
+            out.append((omega, spectrum.values.tobytes(), spectrum.stderr.tobytes()))
+    finally:
+        blas[1](before)
+    assert out[0] == out[1]

@@ -110,6 +110,25 @@ class TestSampleCounts:
         with pytest.raises(ValueError):
             sample_counts(np.ones(100), grid, RngStream(0, 0), dead_time=-1.0)
 
+    @pytest.mark.parametrize(
+        "sample, detector",
+        [
+            (math.nan, {}),
+            (math.inf, {}),
+            (1.0, {"dark_rate": math.nan}),
+            (1.0, {"dark_rate": math.inf}),
+            (1.0, {"dead_time": math.nan}),
+            (1.0, {"dead_time": math.inf}),
+        ],
+    )
+    def test_non_finite_input_refused_before_any_draw(self, sample, detector):
+        intensity = np.ones(100)
+        intensity[40] = sample
+        stream = RngStream(3, 7)
+        with pytest.raises(ValueError):
+            sample_counts(intensity, TimeGrid(0.0, 0.1, 100), stream, **detector)
+        assert stream.uniform() == RngStream(3, 7).uniform()
+
 
 class TestOnePole:
     def test_matches_direct_recursion(self):
