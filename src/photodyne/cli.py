@@ -16,12 +16,11 @@ analyze: one pass. _read_pairs reads one count/current file pair at a time
 and feeds it once to _PairCounts (g2) and _TriggeredSums (h and the mean
 rule), so analyze holds one record pair at a time, whatever n_trajectories.
 
-Threads: a photodyne process starts OpenBLAS with one thread, which every
-call in the package wants (numerics.single_blas_thread); the variable
-OPENBLAS_NUM_THREADS, when set, overrides that default. The default is
-applied only when numpy is not yet loaded, so it reaches `python -m
-photodyne.cli`, the console script and run's worker pool, and leaves
-in-process importers alone.
+Threads: a CLI process starts OpenBLAS with one thread, because `import
+photodyne` loads numpy that way (photodyne/__init__.py), and run's worker
+pool keeps that count. A count the user sets in OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS, which OpenBLAS reads, overrides that
+default.
 
 Exit codes: 0 success, 2 configuration or argument error, 3 missing or
 inconsistent data or a failed computation, 4 statistically inconclusive
@@ -34,14 +33,8 @@ import concurrent.futures
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
-
-if "numpy" not in sys.modules:
-    # a process started here runs OpenBLAS with one thread; an importer
-    # that loaded numpy first keeps its own count
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -60,7 +53,7 @@ from .config import ConfigError, DataError, ExperimentConfig, RunManifest, _from
 from .detection import semiclassical_record
 from .fields import FieldModel, LocalOscillator
 from .numerics import RngStream, TimeGrid, _stream_batches
-from .quantum import SystemParams, _regression, build_system, unravel_ensemble
+from .quantum import SystemParams, build_system, g2_regression, h_regression, unravel_ensemble
 from .records import (
     load_count_record,
     load_photocurrent,
@@ -327,7 +320,8 @@ def _cmd_compare(args) -> int:
     system = build_system(_from_config(SystemParams, cfg))
     n_tau = int(round(cfg.max_lag / cfg.dt)) + 1
     tau_grid = TimeGrid(t_start=0.0, dt=cfg.dt, n_samples=n_tau)
-    reg_g2, reg_h = _regression(system, tau_grid, _lo_phase(cfg), with_h=mc_h is not None)
+    reg_g2 = g2_regression(system, tau_grid)
+    reg_h = None if mc_h is None else h_regression(system, tau_grid, lo_phase=_lo_phase(cfg))
 
     def z_stats(mc: CorrelationSeries, ref: np.ndarray):
         keep = mc.lags >= 0

@@ -47,10 +47,11 @@ def _openblas_threads():
 def single_blas_thread(func):
     """Run func with OpenBLAS held to one thread, then restore its count.
 
-    The package runs on one BLAS thread. A photodyne CLI process starts
-    OpenBLAS with one thread (cli.py, unless OPENBLAS_NUM_THREADS is set),
-    and every library function with a dense product or a LAPACK call of
-    non-trivial size is wrapped here, so an in-process caller with more
+    The package runs on one BLAS thread. When `import photodyne` loads
+    numpy, as in a CLI process, OpenBLAS starts with one thread unless the
+    user sets a count (photodyne/__init__.py). Every entry point of quantum
+    and analyzers that reaches a dense product or a LAPACK call of
+    non-trivial size is wrapped here, so a caller whose numpy runs more
     threads gets one for the call and its own count back after it.
 
     The quantum engines chain many small dense products. A second BLAS
@@ -211,7 +212,6 @@ def first_order_recurrence(a: float, drive, y0: complex = 0.0) -> np.ndarray:
     return out
 
 
-@single_blas_thread
 def integrate_linear_ode(
     generator: np.ndarray,
     state: np.ndarray,

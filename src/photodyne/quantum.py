@@ -200,37 +200,17 @@ def _resolve_lo_phase(system: System, lo_phase: float | None = None, rho_ss=None
     return float(np.angle(expectation(system.a, rho_ss)))
 
 
-def _regression(system: System, tau_grid: TimeGrid, lo_phase: float | None = None, with_h: bool = True):
-    """(g2_regression, h_regression or None unless with_h) from one steady
-    state and one propagation of rho_c = a rho_ss a^dag / nbar: each curve
-    is Tr(op e^{L tau} rho_c) / Tr(op rho_ss) at every tau_grid time, for
-    op = a^dag a and op = a_theta."""
+def _regression(system: System, rho_ss: np.ndarray, tau_grid: TimeGrid, op: np.ndarray):
+    """Tr(op e^{L tau} rho_c) / Tr(op rho_ss) at every tau_grid time."""
     if tau_grid.t_start != 0.0:
         raise ValueError("tau_grid must start at 0")
-    rho_ss = steady_state(system)
     a = system.a
-    ops = [a.conj().T @ a]
-    if with_h:
-        theta = _resolve_lo_phase(system, lo_phase, rho_ss)
-        ops.append(_quadrature(a, theta))
-    denoms = [expectation(op, rho_ss).real for op in ops]
-    # both are 0 when nbar = denoms[0] is (|<a>|^2 <= nbar)
-    if min(abs(d) for d in denoms) < 1e-30:
+    nbar = expectation(a.conj().T @ a, rho_ss).real
+    denom = expectation(op, rho_ss).real  # 0 for both ops when nbar is (|<a>|^2 <= nbar)
+    if abs(denom) < 1e-30:
         raise ArithmeticError("stationary expectation of the observable is zero")
-    states = evolve_master(system, a @ rho_ss @ a.conj().T / denoms[0], tau_grid)
-    curves = [np.einsum("tij,ji->t", states, op).real / d for op, d in zip(ops, denoms)]
-    g2 = CorrelationSeries(
-        lags=np.concatenate([-tau_grid.times[:0:-1], tau_grid.times]),
-        values=np.concatenate([curves[0][:0:-1], curves[0]]),
-        stderr=None,
-        normalization="g2",
-    )
-    h = None
-    if with_h:
-        h = CorrelationSeries(
-            lags=tau_grid.times.copy(), values=curves[1], stderr=None, normalization="h", meta={"lo_phase": theta}
-        )
-    return g2, h
+    states = evolve_master(system, a @ rho_ss @ a.conj().T / nbar, tau_grid)
+    return np.einsum("tij,ji->t", states, op).real / denom
 
 
 def g2_regression(system: System, tau_grid: TimeGrid):
@@ -239,7 +219,11 @@ def g2_regression(system: System, tau_grid: TimeGrid):
     The returned series covers -tau_max..tau_max by even reflection;
     tau_grid must start at 0.
     """
-    return _regression(system, tau_grid, with_h=False)[0]
+    num = system.a.conj().T @ system.a
+    g2 = _regression(system, steady_state(system), tau_grid, num)
+    lags = np.concatenate([-tau_grid.times[:0:-1], tau_grid.times])
+    values = np.concatenate([g2[:0:-1], g2])
+    return CorrelationSeries(lags=lags, values=values, stderr=None, normalization="g2")
 
 
 def h_regression(
@@ -252,7 +236,16 @@ def h_regression(
     lo_phase defaults to arg<a>_ss. Only tau >= 0 is computable here;
     negative lags exist only in sampled records.
     """
-    return _regression(system, tau_grid, lo_phase)[1]
+    rho_ss = steady_state(system)
+    theta = _resolve_lo_phase(system, lo_phase, rho_ss)
+    vals = _regression(system, rho_ss, tau_grid, _quadrature(system.a, theta))
+    return CorrelationSeries(
+        lags=tau_grid.times.copy(),
+        values=vals,
+        stderr=None,
+        normalization="h",
+        meta={"lo_phase": theta},
+    )
 
 
 @dataclass(frozen=True)

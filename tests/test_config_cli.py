@@ -749,36 +749,36 @@ def test_runtime_imports_only_numpy():
     assert out.stdout.splitlines()[-1] == "['numpy', 'photodyne']"
 
 
-@pytest.mark.parametrize("setting, threads", [(None, 1), ("2", 2)])
-def test_cli_process_starts_openblas_single_threaded(setting, threads):
-    # the package import loads no numpy, so the CLI picks the thread count
-    # before numpy loads OpenBLAS; the user's setting wins
-    if (os.cpu_count() or 1) < 2:
+@pytest.mark.parametrize(
+    "first, variable, single",
+    [
+        ("photodyne.cli", None, True),
+        ("photodyne.cli", "OPENBLAS_NUM_THREADS", False),
+        ("photodyne.cli", "GOTO_NUM_THREADS", False),
+        ("photodyne.cli", "OMP_NUM_THREADS", False),
+        ("numpy", None, False),
+    ],
+)
+def test_package_import_starts_openblas_single_threaded(first, variable, single):
+    # numpy loaded by the package import starts OpenBLAS with one thread,
+    # without leaving the variable to child processes; a count the user
+    # sets, or a numpy loaded first, is left alone
+    if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one core: OpenBLAS starts single-threaded anyway")
     code = (
-        "import sys\n"
-        "import photodyne\n"
-        "print('numpy' in sys.modules)\n"
-        "import photodyne.cli\n"
+        f"import os, {first}\n"
         "from photodyne import numerics\n"
         "blas = numerics._openblas_threads()\n"
-        "print(blas[0]() if blas else None)\n"
+        "print(blas[0]() if blas else None, 'OPENBLAS_NUM_THREADS' in os.environ)\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    if setting is not None:
-        env["OPENBLAS_NUM_THREADS"] = setting
+    env = {k: v for k, v in os.environ.items() if k not in photodyne._BLAS_THREAD_VARIABLES}
+    if variable is not None:
+        env[variable] = "2"
     src = Path(photodyne.__file__).resolve().parent.parent
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    lines = out.stdout.splitlines()
-    assert lines[0] == "False"
-    if lines[1] == "None":
+    threads, kept = out.stdout.split()
+    if threads == "None":
         pytest.skip("no OpenBLAS loaded")
-    assert int(lines[1]) == threads
-
-
-def test_package_exports_load_on_first_use():
-    assert photodyne.sample_counts is photodyne.detection.sample_counts
-    assert set(photodyne.__all__) <= set(dir(photodyne))
-    with pytest.raises(AttributeError):
-        photodyne.no_such_name
+    assert (int(threads) == 1) == single
+    assert kept == str(variable == "OPENBLAS_NUM_THREADS")

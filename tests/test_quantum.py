@@ -30,7 +30,7 @@ from photodyne.quantum import (
     steady_state,
     unravel_ensemble,
 )
-from photodyne.quantum import NOISE_CHUNK, NOISE_TILE, RENORM_EVERY, _EnsembleEngine, _regression
+from photodyne.quantum import NOISE_CHUNK, NOISE_TILE, RENORM_EVERY, _EnsembleEngine
 
 FROZEN_NBAR = 0.0147836
 FROZEN_A = -0.1174j
@@ -266,18 +266,6 @@ class TestRegression:
     def test_h_phase_recorded(self, default_system):
         series = h_regression(default_system, TimeGrid(0.0, 0.02, 11))
         assert series.meta["lo_phase"] == pytest.approx(-math.pi / 2.0, abs=1e-9)
-
-    @pytest.mark.parametrize("lo_phase", [None, 0.7])
-    def test_one_propagation_gives_both_public_curves(self, default_system, lo_phase):
-        # compare reads both curves off one propagation of rho_c
-        grid = TimeGrid(0.0, 0.02, 301)
-        g2, h = _regression(default_system, grid, lo_phase)
-        for got, ref in ((g2, g2_regression(default_system, grid)),
-                         (h, h_regression(default_system, grid, lo_phase))):
-            assert got.lags.tobytes() == ref.lags.tobytes()
-            assert got.values.tobytes() == ref.values.tobytes()
-            assert got.meta == ref.meta
-        assert _regression(default_system, grid, lo_phase, with_h=False)[1] is None
 
     @pytest.mark.parametrize("curve", ["g2_strong", "h_default", "h_phase_0.7"])
     def test_matches_expm_oracle(self, curve):
