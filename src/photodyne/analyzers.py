@@ -474,6 +474,29 @@ def _verdict(margin: float, stderr: float) -> str:
     return "violated" if margin > 3.0 * stderr else "satisfied"
 
 
+def _g2_zero(values, stderr, i0):
+    return 1.0 - values[i0], stderr[i0]
+
+
+def _g2_falloff(values, stderr, i0):
+    if values.size < 2:
+        return math.nan, math.nan
+    dev = np.abs(values - 1.0)
+    rel = dev - dev[i0]
+    rel[i0] = -np.inf
+    j = int(np.argmax(rel))
+    return rel[j], math.hypot(stderr[j], stderr[i0])
+
+
+def _h_range(values, stderr, i0):
+    j = int(np.argmax(values))
+    return values[j] - 2.0, stderr[j]
+
+
+# (check name, the series it reads, its bound); a new check goes last
+_BOUNDS = (("g2_zero", "g2", _g2_zero), ("g2_falloff", "g2", _g2_falloff), ("h_range", "h", _h_range))
+
+
 def audit_classical_bounds(
     g2: CorrelationSeries | None = None,
     h: CorrelationSeries | None = None,
@@ -484,48 +507,19 @@ def audit_classical_bounds(
     g2_falloff: |g2(tau) - 1| <= |g2(0) - 1|, margin is the worst excess
     h_range:    h(tau) <= 2, margin max(h) - 2
 
-    A bound is 'violated' only when its margin exceeds three combined
-    standard errors (zero for exact series); otherwise 'satisfied'. Checks
-    whose input is missing are 'inconclusive'.
+    Each bound takes the series' values, their stderr (zero for an exact
+    series) and the index of the lag nearest 0, and gives a margin and its
+    stderr. A bound is 'violated' only when its margin exceeds three
+    combined standard errors; otherwise 'satisfied'. A missing or empty
+    series, or a margin that is not finite, is 'inconclusive'.
     """
-    checks = []
-
-    def se_at(series: CorrelationSeries, idx: int) -> float:
-        return float(series.stderr[idx]) if series.stderr is not None else 0.0
-
-    if g2 is None or g2.lags.size == 0:
-        checks.append(AuditCheck("g2_zero", math.nan, math.nan, "inconclusive"))
-        checks.append(AuditCheck("g2_falloff", math.nan, math.nan, "inconclusive"))
-    else:
-        i0 = int(np.argmin(np.abs(g2.lags)))
-        v0 = float(g2.values[i0])
-        s0 = se_at(g2, i0)
-        margin = 1.0 - v0
-        checks.append(AuditCheck("g2_zero", margin, s0, _verdict(margin, s0)))
-
-        others = np.arange(g2.lags.size) != i0
-        if others.any():
-            dev = np.abs(g2.values - 1.0)
-            rel = dev - dev[i0]
-            rel[i0] = -np.inf
-            j = int(np.argmax(rel))
-            sj = se_at(g2, j)
-            comb = math.hypot(sj, s0)
-            m2 = float(rel[j])
-            checks.append(AuditCheck("g2_falloff", m2, comb, _verdict(m2, comb)))
-        else:
-            checks.append(
-                AuditCheck("g2_falloff", math.nan, math.nan, "inconclusive")
-            )
-
-    if h is None or h.lags.size == 0:
-        checks.append(AuditCheck("h_range", math.nan, math.nan, "inconclusive"))
-    else:
-        j = int(np.argmax(h.values))
-        m3 = float(h.values[j]) - 2.0
-        s3 = se_at(h, j)
-        checks.append(AuditCheck("h_range", m3, s3, _verdict(m3, s3)))
-
+    series, checks = {"g2": g2, "h": h}, []
+    for name, kind, bound in _BOUNDS:
+        s, margin, stderr = series[kind], math.nan, math.nan
+        if s is not None and s.lags.size:
+            se = np.zeros_like(s.values) if s.stderr is None else s.stderr
+            margin, stderr = map(float, bound(s.values, se, int(np.argmin(np.abs(s.lags)))))
+        checks.append(AuditCheck(name, margin, stderr, _verdict(margin, stderr)))
     return AuditReport(checks=tuple(checks))
 
 
