@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -336,7 +337,8 @@ def estimate_h(records, halfwidth: float, bin_width: float | None = None) -> Cor
 class _PairCounts:
     """estimate_g2's per-record work, one add(counts) per record: the pair
     histogram, the independent-click expectation, the event count and the
-    duration; series() is None while every expectation is zero."""
+    duration; series() keeps the bins of positive expectation, and is None
+    while there are none."""
 
     def __init__(self, max_lag: float, bin_width: float) -> None:
         if bin_width <= 0 or max_lag <= bin_width:
@@ -370,13 +372,13 @@ class _PairCounts:
             self.hist += np.bincount(idx, minlength=self.nb)
 
     def series(self) -> CorrelationSeries | None:
-        if self.expected.max() <= 0:
+        # the expectation falls with lag, so the bins it reaches are a prefix
+        n = int(np.count_nonzero(self.expected > 0))
+        if n == 0:
             return None
-        hist, expect, ok = self.hist, self.expected, self.expected > 0
-        values = np.divide(hist, expect, out=np.zeros(self.nb), where=ok)
-        stderr = np.divide(np.sqrt(np.maximum(hist, expect)), expect, out=np.zeros(self.nb), where=ok)
-        return CorrelationSeries(self.lags, values, stderr, "g2",
-                                 {"n_events": self.n_events, "total_duration": self.duration})
+        hist, expect = self.hist[:n], self.expected[:n]
+        return CorrelationSeries(self.lags[:n], hist / expect, np.sqrt(np.maximum(hist, expect)) / expect,
+                                 "g2", {"n_events": self.n_events, "total_duration": self.duration})
 
 
 def estimate_g2(records, max_lag: float, bin_width: float) -> CorrelationSeries:
@@ -395,7 +397,9 @@ def estimate_g2(records, max_lag: float, bin_width: float) -> CorrelationSeries:
     keeps the estimator unbiased for ensembles of short records. The
     nb = round(max_lag / bin_width) bins cover [0, nb * bin_width), which
     can end a little before or after max_lag; separations outside that
-    range are not counted. The function is even in lag by construction.
+    range are not counted. Bins whose center lag is at or past every
+    record's duration have no expectation and are left out, so the series
+    can end before max_lag. The function is even in lag by construction.
     stderr is sqrt(max(count, expected)) / expected: Poisson on the count,
     and on the independent-click expectation where fewer pairs were seen,
     so an empty bin keeps its null error instead of a zero one.
@@ -468,32 +472,38 @@ def squeezing_spectrum(
     )
 
 
-def _verdict(margin: float, stderr: float) -> str:
-    if not math.isfinite(margin):
+def _verdict(margin: float, stderr: float, n_tested: int, largest: float) -> str:
+    z = 3.0 if n_tested == 1 else NormalDist().inv_cdf(NormalDist().cdf(3.0) ** (1.0 / n_tested))
+    if not math.isfinite(margin) or largest <= z * stderr:
         return "inconclusive"
-    return "violated" if margin > 3.0 * stderr else "satisfied"
+    return "violated" if margin > z * stderr else "satisfied"
+
+
+# what a bound returns when it has nothing to test
+_NO_TEST = (math.nan, math.nan, 1, math.inf)
 
 
 def _g2_zero(values, stderr, i0):
-    return 1.0 - values[i0], stderr[i0]
+    return 1.0 - values[i0], stderr[i0], 1, 1.0  # g2 >= 0 caps the margin at 1
 
 
 def _g2_falloff(values, stderr, i0):
     if values.size < 2:
-        return math.nan, math.nan
+        return _NO_TEST
     dev = np.abs(values - 1.0)
     rel = dev - dev[i0]
     rel[i0] = -np.inf
     j = int(np.argmax(rel))
-    return rel[j], math.hypot(stderr[j], stderr[i0])
+    return rel[j], math.hypot(stderr[j], stderr[i0]), values.size - 1, math.inf
 
 
 def _h_range(values, stderr, i0):
     j = int(np.argmax(values))
-    return values[j] - 2.0, stderr[j]
+    return values[j] - 2.0, stderr[j], values.size, math.inf
 
 
-# (check name, the series it reads, its bound); a new check goes last
+# (check name, the series it reads, its bound); each bound maps (values,
+# stderr, lag-0 index) to (margin, stderr, bins tested, largest margin)
 _BOUNDS = (("g2_zero", "g2", _g2_zero), ("g2_falloff", "g2", _g2_falloff), ("h_range", "h", _h_range))
 
 
@@ -507,19 +517,22 @@ def audit_classical_bounds(
     g2_falloff: |g2(tau) - 1| <= |g2(0) - 1|, margin is the worst excess
     h_range:    h(tau) <= 2, margin max(h) - 2
 
-    Each bound takes the series' values, their stderr (zero for an exact
-    series) and the index of the lag nearest 0, and gives a margin and its
-    stderr. A bound is 'violated' only when its margin exceeds three
-    combined standard errors; otherwise 'satisfied'. A missing or empty
-    series, or a margin that is not finite, is 'inconclusive'.
+    They test 1 bin, every g2 bin but lag 0's, and every h bin. The worst of
+    n bins is 'violated' when its margin exceeds z stderr (zero for an exact
+    series), z the Sidak threshold holding the family-wise false-alarm rate
+    at P(Z > 3): 3 for 1 bin, 4.02 for 47, 4.20 for 101, 4.73 for 1,200.
+    Otherwise 'satisfied', or 'inconclusive' if even the largest margin
+    possible (1 for g2_zero, as g2 >= 0) would not exceed z stderr, or the
+    series is missing, empty or gives a margin that is not finite.
     """
     series, checks = {"g2": g2, "h": h}, []
     for name, kind, bound in _BOUNDS:
-        s, margin, stderr = series[kind], math.nan, math.nan
+        s = series[kind]
+        margin, stderr, n_tested, largest = _NO_TEST
         if s is not None and s.lags.size:
             se = np.zeros_like(s.values) if s.stderr is None else s.stderr
-            margin, stderr = map(float, bound(s.values, se, int(np.argmin(np.abs(s.lags)))))
-        checks.append(AuditCheck(name, margin, stderr, _verdict(margin, stderr)))
+            margin, stderr, n_tested, largest = bound(s.values, se, int(np.argmin(np.abs(s.lags))))
+        checks.append(AuditCheck(name, float(margin), float(stderr), _verdict(margin, stderr, n_tested, largest)))
     return AuditReport(checks=tuple(checks))
 
 

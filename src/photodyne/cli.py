@@ -223,7 +223,7 @@ def _cmd_analyze(args) -> int:
         sums.add(counts, current)
     g2 = pairs.series()
     h = spectrum = None
-    if sums.mean_resolved():
+    if sums.n_used and sums.mean_resolved():
         h = sums.series()
         top = cfg.max_frequency if cfg.max_frequency > 0 else 0.5 * math.pi / h.meta["bin_width"]
         spectrum = squeezing_spectrum(h, np.linspace(0.0, top, cfg.n_frequencies))
@@ -265,7 +265,8 @@ def _cmd_analyze(args) -> int:
     )
     print(f"analyzed {cfg.n_trajectories} records, {pairs.n_events} events")
     if h is None:
-        print("mean current consistent with zero; h and squeezing skipped")
+        why = "mean current consistent with zero" if sums.n_used else "no usable triggers inside the record window"
+        print(f"{why}; h and squeezing skipped")
     g2_line = (
         "no record holds two clicks; g2 skipped" if g2 is None
         else f"g2(0) = {report['g2_zero']:.4f} +- {report['g2_zero_stderr']:.4f}"
@@ -275,9 +276,13 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _read_series(path: Path, normalization: str) -> CorrelationSeries:
-    _, _, cols = read_table(path)
-    return CorrelationSeries(cols[0], cols[1], cols[2], normalization)
+def _read_analysis(indir: Path):
+    """(g2, h) from analyze's series files, None for a series analyze
+    skipped; DataError when it wrote neither."""
+    paths = [indir / "g2.csv", indir / "h.csv"]
+    if not any(p.is_file() for p in paths):
+        raise DataError(f"no g2.csv or h.csv in {indir}; run analyze first")
+    return [CorrelationSeries(*read_table(p)[2][:3], p.stem) if p.is_file() else None for p in paths]
 
 
 def _bin_means(reg: CorrelationSeries, n_bins: int, width: float) -> np.ndarray:
@@ -311,11 +316,7 @@ def _cmd_compare(args) -> int:
     cfg = _load_config(indir)
     if cfg.source != "quantum":
         raise ConfigError("compare needs a quantum run; semiclassical has no regression twin")
-    if not (indir / "g2.csv").is_file():
-        raise DataError("g2.csv not found; run analyze first")
-    mc_g2 = _read_series(indir / "g2.csv", "g2")
-    # analyze skips h when the mean current is consistent with zero
-    mc_h = _read_series(indir / "h.csv", "h") if (indir / "h.csv").is_file() else None
+    mc_g2, mc_h = _read_analysis(indir)
 
     system = build_system(_from_config(SystemParams, cfg))
     n_tau = int(round(cfg.max_lag / cfg.dt)) + 1
@@ -335,16 +336,17 @@ def _cmd_compare(args) -> int:
             "frac_within_3": float(np.mean(z <= 3.0)) if z.size else math.nan,
         }
 
-    mc_peak = _oscillation_or_none(mc_g2.values, cfg.bin_width, mc_g2.stderr)
+    mc_peak = None if mc_g2 is None else _oscillation_or_none(mc_g2.values, cfg.bin_width, mc_g2.stderr)
     reg_peak = _oscillation_or_none(reg_g2.values[reg_g2.lags >= 0], cfg.dt)
 
     result = {
         "config_hash": cfg.config_hash(),
-        "g2": z_stats(mc_g2, _bin_means(reg_g2, int((mc_g2.lags >= 0).sum()), cfg.bin_width)),
+        "g2": None if mc_g2 is None else z_stats(
+            mc_g2, _bin_means(reg_g2, int((mc_g2.lags >= 0).sum()), cfg.bin_width)),
         "h": None if mc_h is None else z_stats(mc_h, _pooled_exact_h(cfg, reg_h, mc_h)),
         "g2_peak_mc": mc_peak,
         "g2_peak_regression": reg_peak,
-        "g2_zero_mc": mc_g2.value_at(0.0),
+        "g2_zero_mc": None if mc_g2 is None else mc_g2.value_at(0.0),
         "g2_zero_regression": reg_g2.value_at(0.0),
     }
     (indir / "compare.json").write_text(
@@ -361,24 +363,13 @@ def _cmd_compare(args) -> int:
 
 def _cmd_audit(args) -> int:
     indir = Path(args.indir)
-    g2, h = (
-        _read_series(indir / f"{kind}.csv", kind) if (indir / f"{kind}.csv").is_file() else None
-        for kind in ("g2", "h")
-    )
-    if g2 is None and h is None:
-        raise DataError(f"no g2.csv or h.csv in {indir}; run analyze first")
-    report = audit_classical_bounds(g2, h)
+    report = audit_classical_bounds(*_read_analysis(indir))
     (indir / "audit.json").write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     )
     for check in report.checks:
-        if math.isnan(check.margin):
-            print(f"{check.name}: {check.verdict}")
-        else:
-            print(
-                f"{check.name}: {check.verdict} "
-                f"(margin {check.margin:+.4f}, stderr {check.stderr:.4f})"
-            )
+        detail = "" if math.isnan(check.margin) else f" (margin {check.margin:+.4f}, stderr {check.stderr:.4f})"
+        print(f"{check.name}: {check.verdict}{detail}")
     print(f"overall: {report.overall}")
     return 4 if report.overall == "inconclusive" else 0
 

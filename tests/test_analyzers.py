@@ -524,6 +524,31 @@ class TestAuditClassicalBounds:
         assert all(c.verdict == "inconclusive" for c in report.checks)
         assert [c.name for c in report.checks] == ["g2_zero", "g2_falloff", "h_range"]
 
+    @pytest.mark.parametrize("z, verdict", [(3.5, "satisfied"), (5.0, "violated")])
+    def test_worst_of_101_h_bins_meets_the_sidak_threshold(self, z, verdict):
+        # over 101 bins the family-wise P(Z > 3) asks for 4.20 sigma
+        values = np.ones(101)
+        values[37] = 2.0 + z * 0.1
+        h_range = audit_classical_bounds(h=self._series(values, np.full(101, 0.1), norm="h")).checks[2]
+        assert h_range.name == "h_range" and h_range.verdict == verdict
+
+    @pytest.mark.parametrize("z, verdict", [(3.5, "satisfied"), (5.0, "violated")])
+    def test_worst_of_47_g2_bins_meets_the_sidak_threshold(self, z, verdict):
+        # 48 bins, 47 tested against lag 0: 4.02 sigma
+        values = np.ones(48)
+        values[20] = 1.0 + z * math.hypot(0.1, 0.1)
+        by_name = {c.name: c for c in audit_classical_bounds(g2=self._series(values, np.full(48, 0.1))).checks}
+        assert by_name["g2_falloff"].verdict == verdict
+        assert by_name["g2_zero"].verdict == "satisfied"
+
+    def test_antibunching_that_could_not_show_is_inconclusive(self):
+        # g2 >= 0 caps the margin at 1, under 3 sigma = 1.2
+        g2 = self._series([0.5, 1.0, 1.0], stderr=[0.4, 0.1, 0.1])
+        by_name = {c.name: c for c in audit_classical_bounds(g2=g2).checks}
+        assert by_name["g2_zero"].margin == pytest.approx(0.5)
+        assert by_name["g2_zero"].verdict == "inconclusive"
+        assert by_name["g2_falloff"].verdict == "satisfied"
+
     def test_non_finite_margin_inconclusive(self):
         g2 = self._series([math.nan, 1.0, 1.0])
         report = audit_classical_bounds(g2=g2)

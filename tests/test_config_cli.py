@@ -515,6 +515,25 @@ class TestAnalyzeCompareAudit:
         verdicts = {c["name"]: c["verdict"] for c in report["audit"]["checks"]}
         assert verdicts["g2_zero"] == verdicts["g2_falloff"] == "inconclusive"
         assert read_table(outdir / "h.csv")[0]["n_triggers"] == "3"
+        # compare reads whichever series exist: h against its regression
+        assert main(["compare", "--indir", str(outdir)]) == 0
+        result = json.loads((outdir / "compare.json").read_text())
+        assert result["g2"] is None and result["g2_peak_mc"] is None and result["g2_zero_mc"] is None
+        assert result["h"]["n_bins"] > 0
+        assert math.isfinite(result["g2_zero_regression"])
+
+    def test_small_run_reads_no_violation(self, tmp_path, capsys):
+        # 8 x 200 at the default physics: 11 clicks, and the worst of 101 h
+        # bins at 3.3 sigma, under the 4.20 sigma that 101 bins ask for
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text("[run]\nn_trajectories = 8\nduration = 200.0\n")
+        outdir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--outdir", str(outdir)]) == 0
+        assert main(["analyze", "--indir", str(outdir)]) == 0
+        assert main(["audit", "--indir", str(outdir)]) == 0
+        verdicts = {c["name"]: c["verdict"] for c in json.loads((outdir / "audit.json").read_text())["checks"]}
+        assert "violated" not in verdicts.values()
+        assert verdicts["g2_zero"] == "inconclusive"
 
     def test_analyze_holds_one_record_pair_at_a_time(self, quantum_run, monkeypatch):
         # analyze streams the run: when a current file is read, at most the
@@ -691,6 +710,33 @@ class TestSemiclassicalPipeline:
             # a rate-2 arm clicks closer than 0.4 about half the time
             assert ts.size > 50
             assert np.diff(ts).min() >= 0.4
+
+    def test_max_lag_past_the_records_invents_no_violation(self, tmp_path, capsys):
+        # lags at or past every record's 10 time units have no expected
+        # pairs; g2 ends before them instead of reading 0 +- 0 there
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(SEMI_INI.replace("duration = 120.0", "duration = 10.0")
+                            .replace("n_trajectories = 2", "n_trajectories = 40")
+                            .replace("max_lag = 6.0", "max_lag = 12.0").replace("halfwidth = 6.0", "halfwidth = 3.0"))
+        outdir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--outdir", str(outdir)]) == 0
+        assert main(["analyze", "--indir", str(outdir)]) == 0
+        lags = read_table(outdir / "g2.csv")[2][0]
+        assert lags[-1] < 10.0 and lags.size == 20
+        report = json.loads((outdir / "report.json").read_text())
+        assert "violated" not in [c["verdict"] for c in report["audit"]["checks"]]
+
+    def test_records_shorter_than_the_h_window_skip_h(self, tmp_path, capsys):
+        # no trigger's 12-unit window fits in a 10-unit record
+        cfg_path = tmp_path / "c.ini"
+        cfg_path.write_text(SEMI_INI.replace("duration = 120.0", "duration = 10.0")
+                            .replace("n_trajectories = 2", "n_trajectories = 4"))
+        outdir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--outdir", str(outdir)]) == 0
+        assert main(["analyze", "--indir", str(outdir)]) == 0
+        assert "no usable triggers inside the record window; h and squeezing skipped" in capsys.readouterr().out
+        assert (outdir / "g2.csv").is_file() and not (outdir / "h.csv").exists()
+        assert json.loads((outdir / "report.json").read_text())["n_triggers"] is None
 
     def test_phase_random_source_skips_h(self, tmp_path, capsys):
         # zero-mean current: h normalization is meaningless, so analyze
